@@ -1,10 +1,11 @@
 """Run colorings under a timer and report the results.
 
-A run is (input graph, algorithm, seed).  Timing wraps the coloring call
-only, on the monotonic clock, in integer microseconds; graph loading,
-statistics, and verification happen outside the timed region.  The
-properness verdict in every report comes from an independent full scan,
-never from the algorithm's own bookkeeping.
+A run is (input graph, algorithm, seed).  One timer, on the monotonic
+clock in integer microseconds, wraps coloring-state setup plus the
+coloring call, the same region for every algorithm; graph loading,
+statistics, and verification happen outside it.  The properness
+verdict in every report comes from an independent full scan, never
+from the algorithm's own bookkeeping.
 
 Benchmark manifests describe a matrix of generated graphs, algorithms,
 and seeds; each cell is timed over a configurable number of repetitions
@@ -63,51 +64,40 @@ class RunResult:
     recursion_trace: RecursionTrace | None = None
 
 
-def run_coloring(
-    g: Graph,
-    algorithm: str,
-    seed: int,
-    trace: bool = False,
-    prune_by: str = "weight",
-) -> RunResult:
-    """Dispatch one coloring run; only the coloring call is timed.
+def run_coloring(g: Graph, algorithm: str, seed: int, trace: bool = False) -> RunResult:
+    """Dispatch one coloring run under a single timer.
 
     ``algorithm`` is one of ``naive`` (deterministic single-edge steps in
     edge-id order), ``color-edges`` (randomized single-edge steps),
     ``recursive`` (split / merge / prune / repair), or
     ``recursive-size-prune-ablation`` (recursive with classes pruned by
-    size instead of weight; also reachable as recursive + prune_by size).
+    size instead of weight).  The timed region covers coloring-state
+    setup and the coloring call for every algorithm.
     """
-    if algorithm == "recursive-size-prune-ablation":
-        algorithm, prune_by = "recursive", "size"
-    if algorithm not in ("naive", "color-edges", "recursive"):
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if prune_by != "weight" and algorithm != "recursive":
-        raise ValueError("prune_by applies to the recursive algorithm only")
-
+    steps = rec_trace = None
+    t0 = time.perf_counter_ns()
     if algorithm == "naive":
         chi = PartialColoring(g, g.max_degree + 1)
-        t0 = time.perf_counter_ns()
         color_edges_deterministic(g, chi)
-        wall = time.perf_counter_ns() - t0
-        return RunResult("naive", chi, wall // 1000)
-
-    if algorithm == "color-edges":
+    elif algorithm == "color-edges":
         chi = PartialColoring(g, g.max_degree + 1)
-        rng = Random(seed)
-        t0 = time.perf_counter_ns()
-        steps = color_edges(g, chi, rng, trace=trace)
-        wall = time.perf_counter_ns() - t0
-        return RunResult("color-edges", chi, wall // 1000, step_traces=steps)
-
-    reported = "recursive" if prune_by == "weight" else "recursive-size-prune-ablation"
-    rec_trace = RecursionTrace() if trace else None
-    rng = Random(seed)
-    t0 = time.perf_counter_ns()
-    chi = recursive_color_edges(g, rng, trace=rec_trace, prune_by=prune_by)
+        steps = color_edges(g, chi, Random(seed), trace=trace)
+    else:
+        rec_trace = RecursionTrace() if trace else None
+        prune_by = "weight" if algorithm == "recursive" else "size"
+        chi = recursive_color_edges(g, Random(seed), trace=rec_trace, prune_by=prune_by)
     wall = time.perf_counter_ns() - t0
     levels = collect_level_stats(rec_trace) if rec_trace is not None else None
-    return RunResult(reported, chi, wall // 1000, level_stats=levels, recursion_trace=rec_trace)
+    return RunResult(
+        algorithm,
+        chi,
+        wall // 1000,
+        level_stats=levels,
+        step_traces=steps,
+        recursion_trace=rec_trace,
+    )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import build_report, run_bench, run_coloring, write_csv
+from .bench import ALGORITHMS, build_report, run_bench, run_coloring, write_csv
 from .coloring import format_coloring, parse_coloring, verify_colors
 from .generators import FAMILIES, GenSpec, generate
 from .graph import read_edge_list, write_edge_list
@@ -80,13 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="color an edge-list file and report")
     p.add_argument("input", type=Path, help="edge-list file")
-    p.add_argument("--algo", choices=("naive", "color-edges", "recursive"),
-                   default="color-edges")
+    p.add_argument("--algo", choices=ALGORITHMS, default="color-edges")
     _add_seed(p)
-    p.add_argument("--prune-by", choices=("weight", "size"), default="weight",
-                   dest="prune_by",
-                   help="recursive only: prune surplus color classes by total "
-                   "edge weight (default) or by class size (ablation)")
     p.add_argument("--dump", type=Path,
                    help="coloring dump path (default: input with .colors suffix)")
     p.add_argument("--report", type=Path, help="also write the JSON report here")
@@ -135,7 +130,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     g = read_edge_list(args.input.read_text())
     seed = _resolve_seed(args.seed)
-    result = run_coloring(g, args.algo, seed, trace=args.trace, prune_by=args.prune_by)
+    result = run_coloring(g, args.algo, seed, trace=args.trace)
     report = build_report(g, result, seed, {"path": str(args.input)})
 
     dump_path = args.dump if args.dump is not None else args.input.with_suffix(".colors")

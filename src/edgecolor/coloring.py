@@ -106,9 +106,6 @@ class PartialColoring:
         """True when no edge at ``vertex`` carries ``color``."""
         return color not in self.occupied[vertex]
 
-    def edge_with_color(self, vertex: int, color: int) -> int | None:
-        return self.occupied[vertex].get(color)
-
     def missing_colors(self, vertex: int) -> list[int]:
         """All missing colors at a vertex, ascending.  O(k); for tests."""
         occ = self.occupied[vertex]

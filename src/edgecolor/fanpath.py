@@ -22,7 +22,6 @@ earlier fan edge (equivalently missing at the leaf before that edge).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 from .coloring import UNCOLORED, PartialColoring
 from .graph import Graph
@@ -284,54 +283,3 @@ def extend_coloring(
         shift_fan(chi, fan, t)
         chi.assign(fan.edge_ids[t], c1)
 
-
-def count_internal_memberships(g: Graph, chi: PartialColoring, edge: int) -> int:
-    """How many maximal alternating paths have ``edge`` as an internal edge.
-
-    Brute force over all palette colors paired with the edge's own color;
-    intended as a test oracle on small graphs.  An edge is internal to
-    the maximal (c, c2)-path exactly when both endpoints continue past it
-    and the two-colored component containing it is a path, not a cycle.
-    """
-    c = chi.color[edge]
-    if c == UNCOLORED:
-        raise ValueError("internal membership is defined for colored edges only")
-    u, v = g.endpoints[edge]
-    occ = chi.occupied
-    count = 0
-    for c2 in range(1, chi.k + 1):
-        if c2 == c:
-            continue
-        if c2 not in occ[u] or c2 not in occ[v]:
-            continue
-        # Walk away from the edge at u; if the walk comes back through
-        # the edge itself the component is a cycle.
-        cur = u
-        want = c2
-        is_cycle = False
-        while True:
-            e = occ[cur].get(want)
-            if e is None:
-                break
-            if e == edge:
-                is_cycle = True
-                break
-            cur = g.other_endpoint(e, cur)
-            want = c if want == c2 else c2
-        if not is_cycle:
-            count += 1
-    return count
-
-
-def sample_missing_pair(
-    chi: PartialColoring, vertex: int, rng: Random
-) -> tuple[int, int] | None:
-    """Two distinct missing colors at ``vertex``, or None if fewer exist.
-
-    Convenience for tests that need a valid (c0, c1) pair.
-    """
-    pool = chi.missing_colors(vertex)
-    if len(pool) < 2:
-        return None
-    a, b = rng.sample(pool, 2)
-    return a, b

@@ -72,6 +72,44 @@ def enumerate_maximal_paths(g: Graph, chi: PartialColoring) -> list[AlternatingP
     return paths
 
 
+def count_internal_memberships(g: Graph, chi: PartialColoring, edge: int) -> int:
+    """How many maximal alternating paths have ``edge`` as an internal edge.
+
+    Brute force over all palette colors paired with the edge's own color;
+    intended as a test oracle on small graphs.  An edge is internal to
+    the maximal (c, c2)-path exactly when both endpoints continue past it
+    and the two-colored component containing it is a path, not a cycle.
+    """
+    c = chi.color[edge]
+    if c == UNCOLORED:
+        raise ValueError("internal membership is defined for colored edges only")
+    u, v = g.endpoints[edge]
+    occ = chi.occupied
+    count = 0
+    for c2 in range(1, chi.k + 1):
+        if c2 == c:
+            continue
+        if c2 not in occ[u] or c2 not in occ[v]:
+            continue
+        # Walk away from the edge at u; if the walk comes back through
+        # the edge itself the component is a cycle.
+        cur = u
+        want = c2
+        is_cycle = False
+        while True:
+            e = occ[cur].get(want)
+            if e is None:
+                break
+            if e == edge:
+                is_cycle = True
+                break
+            cur = g.other_endpoint(e, cur)
+            want = c if want == c2 else c2
+        if not is_cycle:
+            count += 1
+    return count
+
+
 def check_edge_membership_bounds(g: Graph, chi: PartialColoring) -> OracleReport:
     """Check the two path-counting bounds on one coloring.
 

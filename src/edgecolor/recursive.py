@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from random import Random
 
-from .coloring import PartialColoring, ColorConflictError
+from .coloring import UNCOLORED, ColorConflictError, PartialColoring
 from .graph import Graph, build_graph, edge_weight, graph_weight
 from .sequential import color_edges
 
@@ -190,75 +190,74 @@ def _materialize_split(g: Graph, side: bytearray) -> EulerSplit:
 
 def merge_colorings(
     g: Graph, split: EulerSplit, chi_left: PartialColoring, chi_right: PartialColoring
-) -> PartialColoring:
+) -> tuple[list[int], int]:
     """Combine two total child colorings over disjoint palettes.
 
-    Right-side colors are offset by the left palette size, so the merged
-    palette has ``k_left + k_right`` colors.  Raises
-    :class:`ImproperInputError` if either input is partial or the merge
-    creates a conflict (impossible for proper inputs).
+    Returns the parent's color array, indexed by parent edge id, and its
+    palette size ``k_left + k_right``: right-side colors are offset by
+    the left palette size.  Raises :class:`ImproperInputError` if either
+    input is partial.  No conflict check is needed: each child is proper
+    by construction and the two palettes are disjoint, so the checked
+    assignment happens once, in :func:`prune_min_weight_colors`.
     """
     if chi_left.uncolored or chi_right.uncolored:
         raise ImproperInputError("merge requires total colorings on both sides")
     offset = chi_left.k
-    merged = PartialColoring(g, offset + chi_right.k)
     left_colors = chi_left.color
     right_colors = chi_right.color
-    for e, (s, ce) in enumerate(split.edge_map):
-        c = left_colors[ce] if s == LEFT else offset + right_colors[ce]
-        try:
-            merged.assign(e, c)
-        except ColorConflictError as exc:
-            raise ImproperInputError(f"child colorings merge improperly: {exc}") from exc
-    return merged
+    colors = [
+        left_colors[ce] if s == LEFT else offset + right_colors[ce] for s, ce in split.edge_map
+    ]
+    return colors, offset + chi_right.k
 
 
 def prune_min_weight_colors(
-    g: Graph, chi: PartialColoring, target: int, by: str = "weight"
+    g: Graph, colors: list[int], k: int, target: int, by: str = "weight"
 ) -> PartialColoring:
     """Uncolor surplus color classes, keeping the ``target`` costliest.
 
-    The input must be a total coloring on at most ``target + 3`` colors.
-    The ``k - target`` classes minimizing total edge weight (ties to the
-    lower color index) are uncolored; surviving classes are relabeled
-    order-preservingly into ``1..target`` so the result lives on a
-    palette of exactly ``target`` colors.  With ``k <= target`` this is
-    the identity.  ``by="size"`` prunes by class cardinality instead, as
-    a benchmark ablation.
+    ``colors`` must be a total coloring of ``g`` on colors ``1..k`` with
+    ``k <= target + 3``.  The ``k - target`` classes minimizing total
+    edge weight (ties to the lower color index) are uncolored; surviving
+    classes are relabeled order-preservingly into ``1..target``.  With
+    ``k <= target`` no class is dropped.  The result is built by checked
+    assignment in edge-id order on a palette of exactly ``target``
+    colors; a conflict in the input raises :class:`ImproperInputError`.
+    ``by="size"`` prunes by class cardinality instead, as a benchmark
+    ablation.
     """
-    k = chi.k
-    if k <= target:
-        return chi
     surplus = k - target
     if surplus > 3:
         raise ValueError(
             f"palette {k} exceeds target {target} by {surplus} > 3; "
             "merged palettes never do"
         )
-    if chi.uncolored:
-        raise ImproperInputError("prune requires a total coloring")
+    if colors and (min(colors) < 1 or max(colors) > k):
+        raise ImproperInputError(f"prune requires a total coloring on colors 1..{k}")
     if by not in ("weight", "size"):
         raise ValueError(f"unknown prune key {by!r}")
     cost = [0] * (k + 1)
-    colors = chi.color
     if by == "weight":
-        for e in range(g.m):
-            cost[colors[e]] += edge_weight(g, e)
+        for e, c in enumerate(colors):
+            cost[c] += edge_weight(g, e)
     else:
-        for e in range(g.m):
-            cost[colors[e]] += 1
-    doomed = set(sorted(range(1, k + 1), key=lambda c: (cost[c], c))[:surplus])
-    remap = [0] * (k + 1)
+        for c in colors:
+            cost[c] += 1
+    doomed = set(sorted(range(1, k + 1), key=lambda c: (cost[c], c))[: max(surplus, 0)])
+    remap = [UNCOLORED] * (k + 1)
     nxt = 1
     for c in range(1, k + 1):
         if c not in doomed:
             remap[c] = nxt
             nxt += 1
     out = PartialColoring(g, target)
-    for e in range(g.m):
-        c = colors[e]
-        if c not in doomed:
-            out.assign(e, remap[c])
+    try:
+        for e, c in enumerate(colors):
+            c = remap[c]
+            if c != UNCOLORED:
+                out.assign(e, c)
+    except ColorConflictError as exc:
+        raise ImproperInputError(f"coloring to prune is improper: {exc}") from exc
     return out
 
 
@@ -332,15 +331,23 @@ def recursive_color_edges(
     independent random streams seeded from the parent stream, so a fixed
     seed reproduces the run no matter how the children are scheduled.
     """
+    vmap = None
     if trace is not None:
         trace.root_degrees = list(g.degree)
         trace.root_weight = graph_weight(g)
         trace.root_max_degree = g.max_degree
         trace.root_m = g.m
         trace.prune_by = prune_by
-    return _recurse(g, rng, trace, prune_by, recursion_threshold(g.n), 0, None)
+        vmap = list(range(g.n))
+    return _recurse(g, rng, trace, prune_by, recursion_threshold(g.n), 0, vmap)
 
 
+# edgebench/spans.py wraps _recurse, euler_partition, build_graph,
+# merge_colorings, prune_min_weight_colors and color_edges by their
+# module-level names and reads ``level`` as the sixth positional argument
+# of _recurse, so these names, that argument order and the calls below
+# must stay.  ``vmap`` maps this node's vertices to root ids; it is kept
+# only when tracing.
 def _recurse(
     g: Graph,
     rng: Random,
@@ -359,20 +366,18 @@ def _recurse(
     split = euler_partition(g)
     seed_left = rng.getrandbits(64)
     seed_right = rng.getrandbits(64)
-    if vmap is None:
-        lmap, rmap = split.left_vertices, split.right_vertices
-    else:
+    lmap = rmap = None
+    if trace is not None:
         lmap = [vmap[p] for p in split.left_vertices]
         rmap = [vmap[p] for p in split.right_vertices]
     chi_left = _recurse(split.left, Random(seed_left), trace, prune_by, threshold, level + 1, lmap)
     chi_right = _recurse(split.right, Random(seed_right), trace, prune_by, threshold, level + 1, rmap)
-    merged = merge_colorings(g, split, chi_left, chi_right)
-    merged_palette = merged.k
-    chi = prune_min_weight_colors(g, merged, g.max_degree + 1, by=prune_by)
-    pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
-    color_edges(g, chi, rng)
+    colors, k = merge_colorings(g, split, chi_left, chi_right)
+    chi = prune_min_weight_colors(g, colors, k, g.max_degree + 1, by=prune_by)
     if trace is not None:
-        _record(trace, g, level, vmap, False, merged_palette, pruned_weight)
+        pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
+        _record(trace, g, level, vmap, False, k, pruned_weight)
+    color_edges(g, chi, rng)
     return chi
 
 
@@ -380,15 +385,12 @@ def _record(
     trace: RecursionTrace,
     g: Graph,
     level: int,
-    vmap: list[int] | None,
+    vmap: list[int],
     is_base: bool,
     merged_palette: int | None,
     pruned_weight: int | None,
 ) -> None:
-    if vmap is None:
-        degrees = {v: d for v, d in enumerate(g.degree)}
-    else:
-        degrees = {vmap[v]: g.degree[v] for v in range(g.n)}
+    degrees = {vmap[v]: g.degree[v] for v in range(g.n)}
     trace.nodes.append(
         RecursionNode(
             level=level,

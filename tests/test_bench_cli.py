@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -28,6 +29,7 @@ from edgecolor.cli import SEED_ENV, main
 from edgecolor.coloring import verify_proper
 from edgecolor.generators import GenSpec, gen_star_plus_forests
 from edgecolor.graph import build_graph
+from edgecolor.recursive import recursive_color_edges
 from edgecolor.sequential import StepTrace
 
 
@@ -59,16 +61,13 @@ def test_run_coloring_traces(small_graph):
 def test_run_coloring_rejects_bad_arguments(small_graph):
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_coloring(small_graph, "greedy", seed=0)
-    with pytest.raises(ValueError, match="recursive"):
-        run_coloring(small_graph, "color-edges", seed=0, prune_by="size")
 
 
 def test_ablation_alias(small_graph):
     a = run_coloring(small_graph, "recursive-size-prune-ablation", seed=2)
-    b = run_coloring(small_graph, "recursive", seed=2, prune_by="size")
+    b = recursive_color_edges(small_graph, Random(2), prune_by="size")
     assert a.algorithm == "recursive-size-prune-ablation"
-    assert b.algorithm == "recursive-size-prune-ablation"
-    assert a.chi.color == b.chi.color
+    assert a.chi.color == b.color
 
 
 def test_report_determinism_modulo_timing(small_graph):
@@ -205,7 +204,7 @@ def _generate(tmp_path, *extra):
     return graph_path
 
 
-@pytest.mark.parametrize("algo", ["naive", "color-edges", "recursive"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_cli_generate_color_verify(tmp_path, capsys, algo):
     graph_path = _generate(tmp_path)
     rc = main(["color", str(graph_path), "--algo", algo, "--seed", "3"])

@@ -12,7 +12,6 @@ from edgecolor.fanpath import (
     AlternatingPath,
     InvalidFanError,
     NotMaximalError,
-    count_internal_memberships,
     extend_coloring,
     flip_path,
     make_primed_fan,
@@ -20,7 +19,7 @@ from edgecolor.fanpath import (
     shift_fan,
 )
 from edgecolor.graph import build_graph
-from edgecolor.oracles import check_fan, enumerate_maximal_paths
+from edgecolor.oracles import check_fan, count_internal_memberships, enumerate_maximal_paths
 
 STAR4 = build_graph([(0, 1), (0, 2), (0, 3)], 4)  # center 0
 P3 = build_graph([(0, 1), (1, 2)], 3)

@@ -1,5 +1,6 @@
 """Euler splits, palette merging, pruning, and the recursive colorer."""
 
+import hashlib
 from random import Random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import graphs, random_graph
-from edgecolor.coloring import PartialColoring, verify_proper
+from edgecolor.coloring import PartialColoring, format_coloring, verify_colors, verify_proper
 from edgecolor.generators import (
     gen_erdos_renyi,
     gen_grid,
@@ -93,10 +94,10 @@ def test_merge_on_path_split():
     chi_left.assign(0, 1)
     chi_right = PartialColoring(split.right, 2)
     chi_right.assign(0, 1)
-    merged = merge_colorings(g, split, chi_left, chi_right)
-    assert merged.k == 4  # disjoint palettes, right offset by k_left
-    assert sorted(merged.color) == [1, 3]
-    assert verify_proper(g, merged).proper
+    colors, k = merge_colorings(g, split, chi_left, chi_right)
+    assert k == 4  # disjoint palettes, right offset by k_left
+    assert sorted(colors) == [1, 3]
+    assert verify_colors(g, colors, k).proper
 
 
 def test_merge_rejects_partial_input():
@@ -119,12 +120,13 @@ def test_merged_palette_bounds(seed):
         chi = PartialColoring(child, child.max_degree + 1)
         color_edges(child, chi, rng)
         sides.append(chi)
-    merged = merge_colorings(g, split, *sides)
+    colors, k = merge_colorings(g, split, *sides)
     # each side needs at most ceil(max_degree / 2) + 2 colors, so the
     # merged palette sits in [max_degree + 2, max_degree + 4]
-    assert g.max_degree + 2 <= merged.k <= g.max_degree + 4
-    assert verify_proper(g, merged).proper
-    assert merged.uncolored_count == 0
+    assert g.max_degree + 2 <= k <= g.max_degree + 4
+    rep = verify_colors(g, colors, k)
+    assert rep.proper
+    assert rep.uncolored == 0
 
 
 def test_prune_weight_example():
@@ -140,7 +142,7 @@ def test_prune_weight_example():
             chi.assign(e, color)
             class_of[e] = color
             e += 1
-    out = prune_min_weight_colors(g, chi, 3)
+    out = prune_min_weight_colors(g, chi.color, chi.k, 3)
     assert out.k == 3
     remap = {1: 1, 3: 2, 5: 3}
     for e in range(g.m):
@@ -166,10 +168,10 @@ def _ablation_fixture():
 
 def test_prune_by_weight_and_by_size_differ():
     g, chi = _ablation_fixture()
-    by_weight = prune_min_weight_colors(g, chi.copy(), 4, by="weight")
+    by_weight = prune_min_weight_colors(g, chi.color, chi.k, 4, by="weight")
     assert sorted(by_weight.uncolored) == [6, 7]  # lightest class is 5
     assert by_weight.color[:6] == [1, 1, 2, 2, 3, 4]
-    by_size = prune_min_weight_colors(g, chi.copy(), 4, by="size")
+    by_size = prune_min_weight_colors(g, chi.color, chi.k, 4, by="size")
     assert by_size.uncolored == [4]  # smallest class, tie to color 3
     assert by_size.color == [1, 1, 2, 2, 0, 3, 4, 4]
     # the ablation uncolors less weight-wise desirable edges here
@@ -180,27 +182,40 @@ def test_prune_by_weight_and_by_size_differ():
 
 def test_prune_identity_when_palette_fits():
     g, chi = _ablation_fixture()
-    assert prune_min_weight_colors(g, chi, 5) is chi
-    assert prune_min_weight_colors(g, chi, 9) is chi
+    for target in (5, 9):
+        out = prune_min_weight_colors(g, chi.color, chi.k, target)
+        assert out.k == target
+        assert out.color == chi.color
+        assert out.uncolored_count == 0
 
 
 def test_prune_rejects_large_surplus():
     g, chi = _ablation_fixture()
     with pytest.raises(ValueError, match="exceeds target"):
-        prune_min_weight_colors(g, chi, 1)
+        prune_min_weight_colors(g, chi.color, chi.k, 1)
 
 
 def test_prune_rejects_partial_coloring():
     g, chi = _ablation_fixture()
     chi.unassign(0)
     with pytest.raises(ImproperInputError):
-        prune_min_weight_colors(g, chi, 4)
+        prune_min_weight_colors(g, chi.color, chi.k, 4)
+
+
+def test_prune_rejects_improper_coloring():
+    g, chi = _ablation_fixture()
+    clash = chi.color[:]
+    clash[2] = 1  # edges 0 and 2 meet at vertex 0
+    with pytest.raises(ImproperInputError, match="improper"):
+        prune_min_weight_colors(g, clash, chi.k, 4)
+    with pytest.raises(ImproperInputError):
+        prune_min_weight_colors(g, chi.color, chi.k - 1, 4)  # color 5 > k
 
 
 def test_prune_rejects_unknown_key():
     g, chi = _ablation_fixture()
     with pytest.raises(ValueError, match="prune key"):
-        prune_min_weight_colors(g, chi, 4, by="hue")
+        prune_min_weight_colors(g, chi.color, chi.k, 4, by="hue")
 
 
 def test_recursion_threshold_values():
@@ -279,6 +294,39 @@ def test_recursive_seed_determinism():
     assert runs[0] == runs[1]
     other = recursive_color_edges(g, Random(78))
     assert other.color != runs[0][0]
+
+
+def test_one_coloring_per_recursion_node(monkeypatch):
+    builds = []
+    init = PartialColoring.__init__
+
+    def counting_init(self, g, k):
+        builds.append(g.m)
+        init(self, g, k)
+
+    monkeypatch.setattr(PartialColoring, "__init__", counting_init)
+    g = gen_star_plus_forests(1024, 2, seed=1)
+    trace = RecursionTrace()
+    recursive_color_edges(g, Random(1), trace=trace)
+    assert any(not node.is_base for node in trace.nodes)
+    assert len(builds) == len(trace.nodes)
+
+
+# sha256 of the coloring dump for each prune key.  Any change to split,
+# merge, prune or repair that alters the output for a seed shows here;
+# repair runs on this graph (pruned weight 86 and 94 in total).
+GOLDEN_DUMPS = {
+    "weight": "6ac470e64ebb55956231cd2715af529afdf60707a3cc506601232ccbdb8b4578",
+    "size": "fe1fdb04bd99dfe7f4fbb61219b7cc7f3443da1a352b027f91bec2db1d4837a8",
+}
+
+
+@pytest.mark.parametrize("prune_by", sorted(GOLDEN_DUMPS))
+def test_recursive_golden_dump(prune_by):
+    g = gen_preferential_attachment(1000, 10, seed=4)
+    chi = recursive_color_edges(g, Random(42), prune_by=prune_by)
+    digest = hashlib.sha256(format_coloring(chi).encode()).hexdigest()
+    assert digest == GOLDEN_DUMPS[prune_by]
 
 
 def test_prune_by_size_end_to_end():
