@@ -49,7 +49,7 @@ def main():
     repaired = sum(n.pruned_weight for n in internal)
     print(f"\nsplits: {len(internal)}, leaves: {len(trace.nodes) - len(internal)}")
     print(f"total weight repaired after pruning: {repaired}"
-          f" (root weight {trace.root_weight})")
+          f" (root weight {trace.nodes[-1].weight})")
     report = verify_proper(g, chi)
     print(f"final coloring proper: {report.proper},"
           f" colors used {report.colors_used} <= {g.max_degree + 1}")

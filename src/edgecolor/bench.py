@@ -284,8 +284,3 @@ def write_csv(rows: list[dict], fh: TextIO) -> None:
     writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-
-
-def median_wall_us(g: Graph, algorithm: str, seed: int, reps: int = DEFAULT_REPS) -> float:
-    """Median timed wall microseconds over repeated identical runs."""
-    return statistics.median(run_coloring(g, algorithm, seed).wall_us for _ in range(reps))

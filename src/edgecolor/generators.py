@@ -218,6 +218,11 @@ def gen_star_plus_forests(
     sweep the max degree while holding the edge count roughly fixed.
     Max degree is about the star size while the arboricity stays at most
     ``alpha``, so these graphs are dense in degree but sparse in weight.
+    A full star leaves vertex 0 no free pair, so each forest then asks
+    for at most ``n - 2`` edges rather than spending its attempt budget
+    on an ``n - 1``-th.  For a full star with ``alpha >= 3`` this cap
+    changed which graph a seed gives, as later forests start from
+    another random state.
     """
     if n < 2 or alpha < 2:
         raise InfeasibleSpecError("star-plus-forests needs n >= 2 and alpha >= 2")
@@ -227,6 +232,8 @@ def gen_star_plus_forests(
     per_forest = n - 1 if forest_edges is None else forest_edges
     if per_forest < 0:
         raise InfeasibleSpecError("forest_edges must be non-negative")
+    if leaves == n - 1:
+        per_forest = min(per_forest, n - 2)
     rng = Random(seed)
     edges = [(0, i) for i in range(1, leaves + 1)]
     taken = set(edges)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
+from typing import Iterator
 
 from .coloring import UNCOLORED, ColorConflictError, PartialColoring
 from .graph import Graph, build_graph, edge_weight, graph_weight
@@ -42,16 +43,18 @@ class EulerSplit:
 
     The two child graphs use dense vertex and edge ids of their own;
     ``left_vertices[i]`` is the parent id of the left child's vertex
-    ``i`` (same for the right), and ``edge_map[e]`` maps each parent
-    edge to ``(side, child edge id)`` with side 0 = left, 1 = right.
-    Vertices isolated on a side are dropped from that child.
+    ``i`` and ``left_edges[i]`` the parent id of its edge ``i`` (same for
+    the right).  Each edge list is ascending, and the two together hold
+    every parent edge once.  Vertices isolated on a side are dropped
+    from that child.
     """
 
     left: Graph
     right: Graph
     left_vertices: list[int]
     right_vertices: list[int]
-    edge_map: list[tuple[int, int]]
+    left_edges: list[int]
+    right_edges: list[int]
 
     def side_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
         """Per side, degrees keyed by parent vertex id (absent = 0)."""
@@ -60,8 +63,8 @@ class EulerSplit:
         return left, right
 
 
-def _tour_decomposition(g: Graph) -> list[tuple[list[int], list[int]]]:
-    """Greedy maximal-tour removal; returns (vertices, edge_ids) per tour.
+def _tour_decomposition(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
+    """Greedy maximal-tour removal; yields (vertices, edge_ids) per tour.
 
     Open tours are walked from odd-degree vertices first, so each odd
     vertex terminates exactly one tour; what remains has even degrees
@@ -72,7 +75,6 @@ def _tour_decomposition(g: Graph) -> list[tuple[list[int], list[int]]]:
     cursor = [0] * g.n
     rem = list(g.degree)
     adjacency = g.adjacency
-    tours: list[tuple[list[int], list[int]]] = []
 
     def walk(start: int) -> tuple[list[int], list[int]]:
         verts = [start]
@@ -96,11 +98,10 @@ def _tour_decomposition(g: Graph) -> list[tuple[list[int], list[int]]]:
 
     for v in range(g.n):
         if g.degree[v] % 2 == 1 and rem[v] % 2 == 1:
-            tours.append(walk(v))
+            yield walk(v)
     for v in range(g.n):
         while rem[v] > 0:
-            tours.append(walk(v))
-    return tours
+            yield walk(v)
 
 
 def euler_partition(g: Graph) -> EulerSplit:
@@ -169,23 +170,31 @@ def _assign_alternating(side: bytearray, eids: list[int], start_side: int) -> No
 
 
 def _materialize_split(g: Graph, side: bytearray) -> EulerSplit:
-    edge_map: list[tuple[int, int]] = [(-1, -1)] * g.m
-    side_edges: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
-    vertex_maps: list[list[int]] = [[], []]
-    vertex_index: list[dict[int, int]] = [{}, {}]
-    for e in range(g.m):
-        s = side[e]
-        u, v = g.endpoints[e]
-        idx = vertex_index[s]
-        for x in (u, v):
-            if x not in idx:
-                idx[x] = len(vertex_maps[s])
-                vertex_maps[s].append(x)
-        edge_map[e] = (s, len(side_edges[s]))
-        side_edges[s].append((idx[u], idx[v]))
-    left = build_graph(side_edges[LEFT], len(vertex_maps[LEFT]))
-    right = build_graph(side_edges[RIGHT], len(vertex_maps[RIGHT]))
-    return EulerSplit(left, right, vertex_maps[LEFT], vertex_maps[RIGHT], edge_map)
+    """Build each side's child from its parent edges in id order.
+
+    Child vertices are numbered in order of first appearance.
+    """
+    edges: tuple[list[int], list[int]] = ([], [])
+    for e, s in enumerate(side):
+        edges[s].append(e)
+    endpoints = g.endpoints
+    children = []
+    for eids in edges:
+        index = [-1] * g.n
+        vertices: list[int] = []
+        pairs: list[tuple[int, int]] = []
+        for e in eids:
+            u, v = endpoints[e]
+            if index[u] < 0:
+                index[u] = len(vertices)
+                vertices.append(u)
+            if index[v] < 0:
+                index[v] = len(vertices)
+                vertices.append(v)
+            pairs.append((index[u], index[v]))
+        children.append((build_graph(pairs, len(vertices)), vertices))
+    (left, left_vertices), (right, right_vertices) = children
+    return EulerSplit(left, right, left_vertices, right_vertices, edges[LEFT], edges[RIGHT])
 
 
 def merge_colorings(
@@ -203,11 +212,11 @@ def merge_colorings(
     if chi_left.uncolored or chi_right.uncolored:
         raise ImproperInputError("merge requires total colorings on both sides")
     offset = chi_left.k
-    left_colors = chi_left.color
-    right_colors = chi_right.color
-    colors = [
-        left_colors[ce] if s == LEFT else offset + right_colors[ce] for s, ce in split.edge_map
-    ]
+    colors = [UNCOLORED] * g.m
+    for e, c in zip(split.left_edges, chi_left.color):
+        colors[e] = c
+    for e, c in zip(split.right_edges, chi_right.color):
+        colors[e] = offset + c
     return colors, offset + chi_right.k
 
 
@@ -269,11 +278,11 @@ class RecursionNode:
     """One subproblem in the recursion tree, as seen by tracing."""
 
     level: int
-    n_active: int
     m: int
     max_degree: int
     weight: int
-    degrees: dict[int, int]  # original vertex id -> degree here
+    vertices: list[int]  # root id of each vertex here
+    degrees: list[int]  # degree of each vertex here
     is_base: bool
     merged_palette: int | None
     pruned_weight: int | None
@@ -281,13 +290,11 @@ class RecursionNode:
 
 @dataclass
 class RecursionTrace:
-    """Trace of a recursive run: every node, plus root-level context."""
+    """Trace of a recursive run: every node, children before parents.
 
-    root_degrees: list[int] = field(default_factory=list)
-    root_weight: int = 0
-    root_max_degree: int = 0
-    root_m: int = 0
-    prune_by: str = "weight"
+    The root is the one node at level 0; its vertices are ``0..n-1``.
+    """
+
     nodes: list[RecursionNode] = field(default_factory=list)
 
 
@@ -331,14 +338,7 @@ def recursive_color_edges(
     independent random streams seeded from the parent stream, so a fixed
     seed reproduces the run no matter how the children are scheduled.
     """
-    vmap = None
-    if trace is not None:
-        trace.root_degrees = list(g.degree)
-        trace.root_weight = graph_weight(g)
-        trace.root_max_degree = g.max_degree
-        trace.root_m = g.m
-        trace.prune_by = prune_by
-        vmap = list(range(g.n))
+    vmap = list(range(g.n)) if trace is not None else None
     return _recurse(g, rng, trace, prune_by, recursion_threshold(g.n), 0, vmap)
 
 
@@ -390,15 +390,14 @@ def _record(
     merged_palette: int | None,
     pruned_weight: int | None,
 ) -> None:
-    degrees = {vmap[v]: g.degree[v] for v in range(g.n)}
     trace.nodes.append(
         RecursionNode(
             level=level,
-            n_active=sum(1 for d in g.degree if d > 0),
             m=g.m,
             max_degree=g.max_degree,
             weight=graph_weight(g),
-            degrees=degrees,
+            vertices=vmap,
+            degrees=g.degree,
             is_base=is_base,
             merged_palette=merged_palette,
             pruned_weight=pruned_weight,
@@ -417,15 +416,13 @@ def collect_level_stats(trace: RecursionTrace) -> list[LevelStats]:
     by_level: dict[int, list[RecursionNode]] = {}
     for node in trace.nodes:
         by_level.setdefault(node.level, []).append(node)
-    root_delta = trace.root_max_degree
-    root_weight = trace.root_weight
-    root_m = trace.root_m
+    root = by_level[0][0]
+    root_degrees = root.degrees
     # Vertices ordered by descending original degree, for the "absent
     # vertex" check: a vertex with d > 2^(level+1) must appear in every
     # subgraph at that level.
     heavy = sorted(
-        (v for v in range(len(trace.root_degrees)) if trace.root_degrees[v] > 0),
-        key=lambda v: -trace.root_degrees[v],
+        (v for v in root.vertices if root_degrees[v] > 0), key=lambda v: -root_degrees[v]
     )
     stats: list[LevelStats] = []
     for level in sorted(by_level):
@@ -433,41 +430,42 @@ def collect_level_stats(trace: RecursionTrace) -> list[LevelStats]:
         scale = 1 << level
         violations: list[str] = []
         total_weight = sum(node.weight for node in nodes)
-        if total_weight * scale > root_weight + 2 * root_m * scale:
+        if total_weight * scale > root.weight + 2 * root.m * scale:
             violations.append(
                 f"level {level}: weight sum {total_weight} exceeds "
-                f"{root_weight}/{scale} + 2m"
+                f"{root.weight}/{scale} + 2m"
             )
         for idx, node in enumerate(nodes):
-            if (node.max_degree + 2) * scale < root_delta or (
+            if (node.max_degree + 2) * scale < root.max_degree or (
                 node.max_degree - 2
-            ) * scale > root_delta:
+            ) * scale > root.max_degree:
                 violations.append(
                     f"level {level} subgraph {idx}: max degree {node.max_degree} "
-                    f"outside {root_delta}/{scale} +- 2"
+                    f"outside {root.max_degree}/{scale} +- 2"
                 )
-            for v, dh in node.degrees.items():
-                dg = trace.root_degrees[v]
+            for v, dh in zip(node.vertices, node.degrees):
+                dg = root_degrees[v]
                 if (dh + 2) * scale < dg or (dh - 2) * scale > dg:
                     violations.append(
                         f"level {level} subgraph {idx}: vertex {v} degree {dh} "
                         f"outside {dg}/{scale} +- 2"
                     )
+            present = set(node.vertices)
             for v in heavy:
-                if trace.root_degrees[v] <= 2 * scale:
+                if root_degrees[v] <= 2 * scale:
                     break
-                if v not in node.degrees:
+                if v not in present:
                     violations.append(
                         f"level {level} subgraph {idx}: vertex {v} with original "
-                        f"degree {trace.root_degrees[v]} is absent"
+                        f"degree {root_degrees[v]} is absent"
                     )
         stats.append(
             LevelStats(
                 level=level,
                 subgraphs=[(n.max_degree, n.weight, n.m) for n in nodes],
                 total_weight=total_weight,
-                delta_ref=root_delta / scale,
-                weight_ref=root_weight / scale,
+                delta_ref=root.max_degree / scale,
+                weight_ref=root.weight / scale,
                 violations=violations,
             )
         )

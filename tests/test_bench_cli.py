@@ -10,15 +10,17 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgecolor
+from _util import graphs
 from edgecolor.bench import (
     ALGORITHMS,
     CSV_COLUMNS,
     BenchCell,
     build_report,
     load_manifest,
-    median_wall_us,
     run_bench,
     run_cell,
     run_coloring,
@@ -26,7 +28,7 @@ from edgecolor.bench import (
     write_csv,
 )
 from edgecolor.cli import SEED_ENV, main
-from edgecolor.coloring import verify_proper
+from edgecolor.coloring import validate_structures, verify_colors, verify_proper
 from edgecolor.generators import GenSpec, gen_star_plus_forests
 from edgecolor.graph import build_graph
 from edgecolor.recursive import recursive_color_edges
@@ -47,6 +49,18 @@ def test_run_coloring_all_algorithms(small_graph):
         rep = verify_proper(g, result.chi)
         assert rep.proper and rep.uncolored == 0
         assert rep.max_color <= g.max_degree + 1
+
+
+@given(graphs(max_n=10), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_every_algorithm_on_random_small_graphs(g, seed):
+    # Graphs here with max degree >= 4 exceed the recursion threshold, so
+    # the recursive colorers split, merge and prune on them.
+    for algo in ALGORITHMS:
+        chi = run_coloring(g, algo, seed).chi
+        rep = verify_colors(g, chi.color, g.max_degree + 1)
+        assert rep.proper and rep.uncolored == 0, algo
+        assert validate_structures(chi) == [], algo
 
 
 def test_run_coloring_traces(small_graph):
@@ -187,10 +201,6 @@ def test_csv_header_is_pinned():
         "family", "n", "m", "max_degree", "alpha_known", "degeneracy",
         "weight", "algo", "seed", "wall_ms", "status",
     )
-
-
-def test_median_wall_us(small_graph):
-    assert median_wall_us(small_graph, "naive", 0, reps=3) >= 0
 
 
 # -- command-line interface ----------------------------------------------------

@@ -1,7 +1,10 @@
 """Graph family generators: shapes, bounds, determinism, spec parsing."""
 
+import hashlib
+
 import pytest
 
+import edgecolor.generators
 from edgecolor.generators import (
     FAMILIES,
     GenSpec,
@@ -63,6 +66,32 @@ def test_star_plus_forests_default():
     assert g.m <= 3 * 255
     assert degeneracy(g) <= 5
     assert graph_weight(g) <= 2 * g.m * 3
+
+
+def test_star_plus_forests_hub_graph_is_pinned():
+    # The benchmark's hub workload; any change to its generator shows here.
+    g = gen_star_plus_forests(2**11, 2, seed=1)
+    digest = hashlib.sha256(write_edge_list(g).encode()).hexdigest()
+    assert digest == "77a237e8313a25ab3137bad223a15de550094b28ff1bcbac22fb9f8898856031"
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_star_plus_forests_forests_reach_their_target(monkeypatch, alpha):
+    # With a full star, vertex 0 has no free pair, so a forest can hold at
+    # most n - 2 edges; asking for more only burns the attempt budget.
+    calls = []
+    grow = edgecolor.generators._grow_forest
+
+    def recording_grow(n, rng, taken, out, target):
+        added = grow(n, rng, taken, out, target)
+        calls.append((target, added))
+        return added
+
+    monkeypatch.setattr(edgecolor.generators, "_grow_forest", recording_grow)
+    gen_star_plus_forests(2048, alpha, seed=1)
+    assert len(calls) == alpha - 1
+    for target, added in calls:
+        assert added == target, calls
 
 
 def test_star_plus_forests_knobs():

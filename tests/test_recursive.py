@@ -40,14 +40,18 @@ def _check_split(g, split: EulerSplit) -> None:
         dr = right_deg.get(v, 0)
         assert dl + dr == g.degree[v]
         assert abs(dl - dr) <= 2
-    # every parent edge lands on one side with its endpoints intact
-    sides = (split.left, split.right)
-    vmaps = (split.left_vertices, split.right_vertices)
-    for e in range(g.m):
-        s, ce = split.edge_map[e]
-        a, b = sides[s].endpoints[ce]
-        mapped = {vmaps[s][a], vmaps[s][b]}
-        assert mapped == set(g.endpoints[e])
+    # every parent edge lands on one side, in id order, with its
+    # endpoints intact
+    assert sorted(split.left_edges + split.right_edges) == list(range(g.m))
+    for child, vmap, eids in (
+        (split.left, split.left_vertices, split.left_edges),
+        (split.right, split.right_vertices, split.right_edges),
+    ):
+        assert eids == sorted(eids)
+        assert len(eids) == child.m
+        for ce, e in enumerate(eids):
+            a, b = child.endpoints[ce]
+            assert {vmap[a], vmap[b]} == set(g.endpoints[e])
 
 
 def test_split_cycle4_into_matchings():
@@ -70,7 +74,7 @@ def test_split_empty_graph():
     g = build_graph([], 3)
     split = euler_partition(g)
     assert split.left.m == split.right.m == 0
-    assert split.edge_map == []
+    assert split.left_edges == split.right_edges == []
 
 
 @given(graphs(max_n=8))
@@ -358,25 +362,34 @@ def test_level_stats_on_clean_runs():
 
 def test_level_stats_flags_synthetic_violations():
     trace = RecursionTrace(
-        root_degrees=[10, 2],
-        root_weight=40,
-        root_max_degree=10,
-        root_m=10,
         nodes=[
             RecursionNode(
                 level=2,
-                n_active=1,
                 m=1,
                 max_degree=10,  # not halved
                 weight=40,  # not halved
-                degrees={1: 2},  # vertex 0 (degree 10) is missing
+                vertices=[1],  # vertex 0 (degree 10) is missing
+                degrees=[2],
                 is_base=True,
                 merged_palette=None,
                 pruned_weight=None,
-            )
+            ),
+            RecursionNode(
+                level=0,
+                m=10,
+                max_degree=10,
+                weight=40,
+                vertices=[0, 1],
+                degrees=[10, 2],
+                is_base=False,
+                merged_palette=None,
+                pruned_weight=None,
+            ),
         ],
     )
-    (stats,) = collect_level_stats(trace)
+    root_stats, stats = collect_level_stats(trace)
+    assert root_stats.level == 0 and root_stats.violations == []
+    assert stats.level == 2
     text = "\n".join(stats.violations)
     assert "max degree" in text
     assert "weight sum" in text
