@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -274,9 +275,10 @@ def run_cell(cell: BenchCell) -> dict:
 def run_bench(manifest: dict, jobs: int = 1) -> list[dict]:
     """Run a whole manifest; rows come back in manifest order."""
     cells = load_manifest(manifest)
-    if jobs <= 1:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_cell, cells))
 
 

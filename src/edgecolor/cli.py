@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=Path, help="also write the JSON report here")
     p.add_argument("--trace", action="store_true",
                    help="collect per-step or per-level traces (slower; adds "
-                   "summaries to the report and writes a trace file)")
+                   "summaries to the report; color-edges also writes a per-step trace file)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a coloring dump against its graph")
@@ -128,15 +128,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    g = read_edge_list(args.input.read_text())
+    with args.input.open() as fh:
+        g = read_edge_list(fh)
     seed = _resolve_seed(args.seed)
     result = run_coloring(g, args.algo, seed, trace=args.trace)
     report = build_report(g, result, seed, {"path": str(args.input)})
 
     dump_path = args.dump if args.dump is not None else args.input.with_suffix(".colors")
     dump_path.write_text(format_coloring(result.chi))
-    if args.trace:
-        _write_trace(dump_path, result)
+    if result.step_traces is not None:
+        with Path(str(dump_path) + ".trace.jsonl").open("w") as fh:
+            for step in result.step_traces:
+                fh.write(json.dumps(dataclasses.asdict(step), sort_keys=True) + "\n")
 
     text = report.to_json()
     sys.stdout.write(text)
@@ -145,21 +148,11 @@ def cmd_color(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _write_trace(dump_path: Path, result) -> None:
-    if result.step_traces is not None:
-        path = Path(str(dump_path) + ".trace.jsonl")
-        with path.open("w") as fh:
-            for step in result.step_traces:
-                fh.write(json.dumps(dataclasses.asdict(step), sort_keys=True) + "\n")
-    if result.level_stats is not None:
-        path = Path(str(dump_path) + ".trace.json")
-        levels = [dataclasses.asdict(ls) for ls in result.level_stats]
-        path.write_text(json.dumps({"levels": levels}, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = read_edge_list(args.graph.read_text())
-    colors = parse_coloring(args.coloring.read_text(), g.m)
+    with args.graph.open() as fh:
+        g = read_edge_list(fh)
+    with args.coloring.open() as fh:
+        colors = parse_coloring(fh, g.m)
     palette = args.palette if args.palette is not None else g.max_degree + 1
     verdict = verify_colors(g, colors, palette)
     print(f"palette {palette}: colors used {verdict.colors_used}, "

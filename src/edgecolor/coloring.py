@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Sequence, TextIO
 
-from .graph import Graph, ParseError
+from .graph import Graph, ParseError, int_pairs
 
 UNCOLORED = 0
 
@@ -214,13 +214,11 @@ class PartialColoring:
         """
         k = self.k
         occ = self.occupied[vertex]
-        if 2 * self.g.degree[vertex] > k:
-            pool = [c for c in range(1, k + 1) if c not in occ]
-            return pool[rng.randrange(len(pool))]
-        for _ in range(_REJECTION_CAP):
-            c = rng.randrange(k) + 1
-            if c not in occ:
-                return c
+        if 2 * self.g.degree[vertex] <= k:
+            for _ in range(_REJECTION_CAP):
+                c = rng.randrange(k) + 1
+                if c not in occ:
+                    return c
         pool = [c for c in range(1, k + 1) if c not in occ]
         return pool[rng.randrange(len(pool))]
 
@@ -352,25 +350,16 @@ def format_coloring(chi: PartialColoring) -> str:
     return "".join(f"{e} {chi.color[e]}\n" for e in range(chi.g.m))
 
 
-def parse_coloring(text: str, m: int) -> list[int]:
+def parse_coloring(source: str | TextIO, m: int) -> list[int]:
     """Parse the dump format back into a color array of length ``m``.
 
-    Unlisted edges stay uncolored; duplicate or out-of-range edge ids are
-    parse errors.
+    ``source`` is an open text file or a string.  Unlisted edges stay
+    uncolored; duplicate or out-of-range edge ids and negative colors are
+    parse errors naming their line.
     """
     colors = [UNCOLORED] * m
     listed = [False] * m
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected 'edge-id color', got {raw.strip()!r}")
-        try:
-            e, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, f"expected integers, got {raw.strip()!r}") from None
+    for line_no, e, c in int_pairs(source):
         if not (0 <= e < m):
             raise ParseError(line_no, f"edge id {e} outside 0..{m - 1}")
         if listed[e]:

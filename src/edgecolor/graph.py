@@ -14,33 +14,37 @@ degeneracy computation as a cheap density proxy.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 
 class GraphError(ValueError):
     """Invalid graph construction or parse input."""
 
 
-class SelfLoopError(GraphError):
-    def __init__(self, index: int, u: int, v: int):
-        super().__init__(f"edge {index} ({u}, {v}) is a self-loop")
+class EdgeError(GraphError):
+    """An edge that :func:`build_graph` rejects, named by its input index."""
+
+    def __init__(self, index: int, u: int, v: int, problem: str):
+        super().__init__(f"edge {index} ({u}, {v}) {problem}")
         self.index = index
         self.edge = (u, v)
 
 
-class DuplicateEdgeError(GraphError):
+class SelfLoopError(EdgeError):
     def __init__(self, index: int, u: int, v: int):
-        super().__init__(f"edge {index} ({u}, {v}) duplicates an earlier edge")
-        self.index = index
-        self.edge = (u, v)
+        super().__init__(index, u, v, "is a self-loop")
 
 
-class VertexOutOfRangeError(GraphError):
+class DuplicateEdgeError(EdgeError):
+    def __init__(self, index: int, u: int, v: int):
+        super().__init__(index, u, v, "duplicates an earlier edge")
+
+
+class VertexOutOfRangeError(EdgeError):
     def __init__(self, index: int, u: int, v: int, n: int):
-        super().__init__(f"edge {index} ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        self.index = index
-        self.edge = (u, v)
+        super().__init__(index, u, v, f"has an endpoint outside 0..{n - 1}")
 
 
 class ParseError(GraphError):
@@ -186,49 +190,65 @@ def graph_stats(g: Graph) -> GraphStats:
     )
 
 
-def read_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format.
+def int_pairs(source: str | TextIO) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(line_no, a, b)`` per line of two integers in a text format.
+
+    ``source`` is an open text file or a string, split into lines alike
+    (universal newlines).  Blank lines and ``#`` comments are skipped;
+    any other line is a :class:`ParseError`.
+    """
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            a, b = parts
+            a, b = int(a), int(b)
+        except ValueError:
+            raise ParseError(line_no, f"expected two integers, got {raw.strip()!r}") from None
+        yield line_no, a, b
+
+
+def read_edge_list(source: str | TextIO) -> Graph:
+    """Parse the plain edge-list format from an open text file or a string.
 
     The first significant line is ``n m``; exactly ``m`` lines ``u v``
     follow (0-indexed vertices).  Blank lines and ``#`` comments are
-    skipped anywhere.  Raises :class:`ParseError` with the offending
-    line number, or the :func:`build_graph` errors for structural
-    problems.
+    skipped anywhere.  Edges stream into :func:`build_graph` as they are
+    read.  Every error names its line: a :class:`ParseError`, or an
+    :class:`EdgeError` from :func:`build_graph` with the line prefixed.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected two integers, got {raw.strip()!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, f"expected two integers, got {raw.strip()!r}") from None
-        if header is None:
-            if a < 0 or b < 0:
-                raise ParseError(line_no, "header counts must be non-negative")
-            header = (a, b)
-        else:
-            if len(edges) >= header[1]:
-                raise ParseError(line_no, f"more than {header[1]} edge lines")
-            edges.append((a, b))
+    pairs = int_pairs(source)
+    header = next(pairs, None)
     if header is None:
         raise ParseError(1, "missing 'n m' header")
-    n, m = header
-    if len(edges) != m:
-        raise ParseError(1, f"header promises {m} edges, found {len(edges)}")
-    return build_graph(edges, n)
+    header_line, n, m = header
+    if n < 0 or m < 0:
+        raise ParseError(header_line, "header counts must be non-negative")
+    line_no = header_line
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal line_no
+        count = 0
+        for line_no, u, v in pairs:
+            if count == m:
+                raise ParseError(line_no, f"more than {m} edge lines")
+            count += 1
+            yield u, v
+        if count != m:
+            raise ParseError(header_line, f"header promises {m} edges, found {count}")
+
+    try:
+        return build_graph(edges(), n)
+    except EdgeError as exc:
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
 
 
 def write_edge_list(g: Graph) -> str:
     """Serialize in the format accepted by :func:`read_edge_list`."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.endpoints)
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.endpoints)
 
 
 def canonical_edge_list(g: Graph) -> list[tuple[int, int]]:

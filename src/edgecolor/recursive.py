@@ -123,20 +123,15 @@ def euler_partition(g: Graph) -> EulerSplit:
         closed = verts[0] == verts[-1]
         if not closed:
             u, w = verts[0], verts[-1]
-            # Starting side s gives the first edge to s and the last edge
-            # to s when the length is odd, to the other side when even.
-            best = None
-            for s in (LEFT, RIGHT):
-                du = 1 if s == LEFT else -1
-                last_left = (s == LEFT) == (length % 2 == 1)
-                dw = 1 if last_left else -1
-                cost = abs(imbalance[u] + du) + abs(imbalance[w] + dw)
-                if best is None or cost < best[0]:
-                    best = (cost, s, du, dw)
-            _, s, du, dw = best
-            imbalance[u] += du
-            imbalance[w] += dw
-            _assign_alternating(side, eids, s)
+            # Starting left puts the first edge left, and the last one too
+            # when the length is odd; starting right negates both.
+            iu, iw = imbalance[u], imbalance[w]
+            du, dw = 1, (1 if length % 2 else -1)
+            if abs(iu - du) + abs(iw - dw) < abs(iu + du) + abs(iw + dw):  # ties go left
+                du, dw = -du, -dw
+            imbalance[u] = iu + du
+            imbalance[w] = iw + dw
+            _assign_alternating(side, eids, LEFT if du == 1 else RIGHT)
         elif length % 2 == 0:
             # Even closed tour: perfectly balanced at every vertex no
             # matter where it starts.

@@ -191,6 +191,36 @@ def test_run_bench_parallel_matches_serial():
     assert len(serial) == 3
 
 
+def test_run_bench_clamps_jobs(monkeypatch):
+    """Workers never outnumber cells or CPUs; no real process is started."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(edgecolor.bench, "ProcessPoolExecutor", RecordingPool)
+    manifest = {"entries": [{"spec": {"family": "star", "n": 6},
+                             "algos": ["naive", "color-edges"], "reps": 1}]}
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    rows = run_bench(manifest, jobs=10**6)
+    assert started == [2]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert len(run_bench(manifest, jobs=10**6)) == 2
+    assert started == [2]  # one CPU, or an unknown count: the cells ran in process
+
+
 def test_csv_header_is_pinned():
     fh = io.StringIO()
     write_csv([], fh)
@@ -326,9 +356,8 @@ def test_cli_trace_files(tmp_path, capsys):
     assert main(["color", str(graph_path), "--algo", "recursive",
                  "--seed", "5", "--dump", str(dump), "--trace"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert "level_stats" in report
-    levels = json.loads((tmp_path / "t.colors.trace.json").read_text())
-    assert levels["levels"] and "violations" in levels["levels"][0]
+    assert report["level_stats"] and "violations" in report["level_stats"][0]
+    assert not (tmp_path / "t.colors.trace.json").exists()
 
 
 def test_cli_bench_csv(tmp_path, capsys):

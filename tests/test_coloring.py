@@ -287,3 +287,24 @@ def test_parse_coloring_errors():
         parse_coloring("0 1 2\n", 3)
     # unlisted edges stay uncolored; comments allowed
     assert parse_coloring("# note\n1 2\n", 3) == [0, 2, 0]
+
+
+def test_parse_coloring_errors_name_their_line():
+    with pytest.raises(ParseError, match="^line 3: edge id 0 listed twice$"):
+        parse_coloring("0 1\n\n0 2\n", 3)
+    with pytest.raises(ParseError, match="^line 2: edge id 7 outside 0..2$"):
+        parse_coloring("# c\n7 1\n", 3)
+    with pytest.raises(ParseError, match="^line 1: negative color -1$"):
+        parse_coloring("0 -1\n", 3)
+    with pytest.raises(ParseError, match="^line 2: expected two integers"):
+        parse_coloring("0 1\n1 2 3\n", 3)
+
+
+def test_parse_coloring_from_a_file(tmp_path):
+    path = tmp_path / "d.colors"
+    path.write_text("# dump\n0 0\n1 3\n\n2 1\n")
+    with path.open() as fh:
+        assert parse_coloring(fh, 3) == [0, 3, 1]
+    path.write_text("0 1\n9 1\n")
+    with path.open() as fh, pytest.raises(ParseError, match="^line 2: "):
+        parse_coloring(fh, 3)

@@ -1,5 +1,6 @@
 """Graph construction, weights, degeneracy, and edge-list round trips."""
 
+import io
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from _util import graphs, random_graph
 from edgecolor.generators import gen_forest_union
 from edgecolor.graph import (
     DuplicateEdgeError,
+    EdgeError,
     GraphError,
     ParseError,
     SelfLoopError,
@@ -184,6 +186,47 @@ def test_read_edge_list_parse_errors():
     with pytest.raises(ParseError):
         read_edge_list("3\n")  # header needs two fields
     assert issubclass(ParseError, GraphError)
+
+
+def test_read_edge_list_errors_name_their_line():
+    with pytest.raises(SelfLoopError) as err:
+        read_edge_list("# g\n3 2\n0 1\n\n1 1\n")
+    assert str(err.value) == "line 5: edge 1 (1, 1) is a self-loop"
+    assert (err.value.index, err.value.edge) == (1, (1, 1))
+    with pytest.raises(DuplicateEdgeError, match="^line 3: edge 1 "):
+        read_edge_list("3 2\n0 1\n1 0\n")
+    with pytest.raises(VertexOutOfRangeError, match="^line 4: edge 0 "):
+        read_edge_list("2 1\n\n\n0 5\n")
+    for cls in (SelfLoopError, DuplicateEdgeError, VertexOutOfRangeError):
+        assert issubclass(cls, EdgeError)
+    # The count mismatch names the header's own line.
+    with pytest.raises(ParseError, match="^line 3: header promises 2 edges, found 1$"):
+        read_edge_list("# c\n# d\n3 2\n0 1\n")
+    with pytest.raises(ParseError, match="^line 4: more than 1 edge lines$"):
+        read_edge_list("3 1\n0 1\n\n1 2\n")
+    with pytest.raises(ParseError, match="^line 2: header counts must be non-negative$"):
+        read_edge_list("# x\n-1 0\n")
+    with pytest.raises(ParseError, match="^line 1: missing 'n m' header$"):
+        read_edge_list("# only a comment\n\n")
+
+
+def test_read_edge_list_from_a_file(tmp_path):
+    text = "# a path\n3 2\r\n0 1\n\n1 2  # last\n"
+    path = tmp_path / "p.edges"
+    path.write_text(text)
+    with path.open() as fh:
+        g = read_edge_list(fh)
+    assert write_edge_list(g) == write_edge_list(read_edge_list(text)) == "3 2\n0 1\n1 2\n"
+    path.write_text("3 2\n0 1\n\n1 1\n")
+    with path.open() as fh, pytest.raises(SelfLoopError, match="^line 4: "):
+        read_edge_list(fh)
+
+
+def test_read_edge_list_stops_at_the_first_bad_line():
+    fh = io.StringIO("3 2\n1 1\n0 1\nnot read\n")
+    with pytest.raises(SelfLoopError, match="^line 2: "):
+        read_edge_list(fh)
+    assert fh.readline() == "0 1\n"
 
 
 @given(graphs())
