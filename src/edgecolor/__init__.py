@@ -13,10 +13,10 @@ alternating paths, the single-edge extension), :mod:`edgecolor.sequential`
 (Euler-partition recursion with prune and repair),
 :mod:`edgecolor.generators` (seeded benchmark families),
 :mod:`edgecolor.oracles` (brute-force cross-checks), :mod:`edgecolor.bench`
-and :mod:`edgecolor.cli` (timing harness and command line).
+(timed runs and reports) and :mod:`edgecolor.cli` (command line).
 """
 
-from .bench import ALGORITHMS, RunReport, RunResult, build_report, run_bench, run_coloring
+from .bench import ALGORITHMS, RunReport, RunResult, build_report, run_coloring
 from .coloring import (
     UNCOLORED,
     ColoringReport,
@@ -110,7 +110,6 @@ __all__ = [
     "read_edge_list",
     "recursion_threshold",
     "recursive_color_edges",
-    "run_bench",
     "run_coloring",
     "shift_fan",
     "verify_colors",

@@ -6,27 +6,17 @@ coloring call, the same region for every algorithm; graph loading,
 statistics, and verification happen outside it.  The properness
 verdict in every report comes from an independent full scan, never
 from the algorithm's own bookkeeping.
-
-Benchmark manifests describe a matrix of generated graphs, algorithms,
-and seeds; each cell is timed over a configurable number of repetitions
-and reported as one CSV row with the median wall time.  A failing cell
-produces a flagged row and the sweep continues.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from random import Random
-from typing import TextIO
 
 from .coloring import ColoringReport, PartialColoring, verify_colors
-from .generators import GenSpec, generate
 from .graph import Graph, graph_stats
 from .recursive import LevelStats, RecursionTrace, collect_level_stats, recursive_color_edges
 from .sequential import StepTrace, color_edges, color_edges_deterministic
@@ -34,23 +24,6 @@ from .sequential import StepTrace, color_edges, color_edges_deterministic
 SCHEMA_VERSION = 1
 
 ALGORITHMS = ("naive", "color-edges", "recursive", "recursive-size-prune-ablation")
-
-# Fixed CSV column order; tests pin it.
-CSV_COLUMNS = (
-    "family",
-    "n",
-    "m",
-    "max_degree",
-    "alpha_known",
-    "degeneracy",
-    "weight",
-    "algo",
-    "seed",
-    "wall_ms",
-    "status",
-)
-
-DEFAULT_REPS = 5
 
 
 @dataclass
@@ -62,7 +35,6 @@ class RunResult:
     wall_us: int
     level_stats: list[LevelStats] | None = None
     step_traces: list[StepTrace] | None = None
-    recursion_trace: RecursionTrace | None = None
 
 
 def run_coloring(g: Graph, algorithm: str, seed: int, trace: bool = False) -> RunResult:
@@ -91,14 +63,7 @@ def run_coloring(g: Graph, algorithm: str, seed: int, trace: bool = False) -> Ru
         chi = recursive_color_edges(g, Random(seed), trace=rec_trace, prune_by=prune_by)
     wall = time.perf_counter_ns() - t0
     levels = collect_level_stats(rec_trace) if rec_trace is not None else None
-    return RunResult(
-        algorithm,
-        chi,
-        wall // 1000,
-        level_stats=levels,
-        step_traces=steps,
-        recursion_trace=rec_trace,
-    )
+    return RunResult(algorithm, chi, wall // 1000, level_stats=levels, step_traces=steps)
 
 
 @dataclass(frozen=True)
@@ -180,109 +145,3 @@ def build_report(g: Graph, result: RunResult, seed: int, input_desc: dict) -> Ru
         level_stats=level_stats,
         step_summary=step_summary,
     )
-
-
-# -- benchmark manifests -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchCell:
-    """One (generated graph, algorithm, seed) cell of a benchmark matrix."""
-
-    spec: GenSpec
-    algorithm: str
-    seed: int
-    reps: int
-
-
-def load_manifest(data: dict) -> list[BenchCell]:
-    """Expand a manifest into cells, in deterministic order.
-
-    Shape: ``{"entries": [entry, ...]}`` where each entry has a ``spec``
-    (generator description), optional ``algos`` (default color-edges),
-    optional ``seeds`` list or single ``seed`` (default 0), and optional
-    ``reps`` (default 5, median reported).
-    """
-    if not isinstance(data, dict) or "entries" not in data:
-        raise ValueError("manifest must be an object with an 'entries' list")
-    cells: list[BenchCell] = []
-    for i, entry in enumerate(data["entries"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"entry {i} is not an object")
-        unknown = set(entry) - {"spec", "algos", "seeds", "seed", "reps"}
-        if unknown:
-            raise ValueError(f"entry {i}: unknown keys {sorted(unknown)}")
-        if "spec" not in entry:
-            raise ValueError(f"entry {i}: missing 'spec'")
-        spec = GenSpec.from_dict(entry["spec"])
-        algos = entry.get("algos", ["color-edges"])
-        for algo in algos:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"entry {i}: unknown algorithm {algo!r}")
-        if "seeds" in entry and "seed" in entry:
-            raise ValueError(f"entry {i}: give 'seeds' or 'seed', not both")
-        seeds = entry.get("seeds", [entry.get("seed", 0)])
-        reps = entry.get("reps", DEFAULT_REPS)
-        if not isinstance(reps, int) or reps < 1:
-            raise ValueError(f"entry {i}: reps must be a positive integer")
-        for algo in algos:
-            for seed in seeds:
-                if not isinstance(seed, int):
-                    raise ValueError(f"entry {i}: seeds must be integers")
-                cells.append(BenchCell(spec, algo, seed, reps))
-    return cells
-
-
-def run_cell(cell: BenchCell) -> dict:
-    """One CSV row: median wall time over the cell's repetitions.
-
-    Any exception is captured into the status column so a bad cell does
-    not abort the sweep.
-    """
-    row: dict = {c: "" for c in CSV_COLUMNS}
-    row["family"] = cell.spec.family
-    row["algo"] = cell.algorithm
-    row["seed"] = cell.seed
-    try:
-        g = generate(cell.spec)
-        stats = graph_stats(g)
-        row["n"] = g.n
-        row["m"] = g.m
-        row["max_degree"] = stats.max_degree
-        alpha = cell.spec.known_arboricity()
-        row["alpha_known"] = "" if alpha is None else alpha
-        row["degeneracy"] = stats.degeneracy
-        row["weight"] = stats.graph_weight
-        walls: list[int] = []
-        ok = True
-        for _ in range(cell.reps):
-            result = run_coloring(g, cell.algorithm, cell.seed)
-            walls.append(result.wall_us)
-            verdict = verify_colors(g, result.chi.color, result.chi.k)
-            if not (
-                verdict.proper
-                and verdict.uncolored == 0
-                and verdict.max_color <= g.max_degree + 1
-            ):
-                ok = False
-        row["wall_ms"] = f"{statistics.median(walls) / 1000:.3f}"
-        row["status"] = "ok" if ok else "improper"
-    except Exception as exc:  # noqa: BLE001 - flagged row, sweep continues
-        row["status"] = f"error:{type(exc).__name__}"
-    return row
-
-
-def run_bench(manifest: dict, jobs: int = 1) -> list[dict]:
-    """Run a whole manifest; rows come back in manifest order."""
-    cells = load_manifest(manifest)
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
-    if workers <= 1:
-        return [run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, cells))
-
-
-def write_csv(rows: list[dict], fh: TextIO) -> None:
-    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)

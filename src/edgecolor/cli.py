@@ -1,4 +1,4 @@
-"""Command-line interface: generate, color, verify, bench.
+"""Command-line interface: generate, color, verify.
 
 :func:`main` is the ``edgecolor`` console script installed by ``pip``;
 ``python -m edgecolor`` runs the same function without an install.
@@ -9,8 +9,8 @@ Exit codes, shared by all subcommands:
 * 1 - improper coloring: ``verify`` found violations, or ``color``
       produced output that failed its own re-verification (the latter is
       a bug sentinel and should never happen)
-* 2 - bad input: parse errors, infeasible generator parameters, bad
-      manifests, I/O failures
+* 2 - bad input: parse errors, infeasible generator parameters, I/O
+      failures
 
 The default seed is 0, overridable per invocation with ``--seed`` or
 globally with the ``EDGECOLOR_SEED`` environment variable.
@@ -24,8 +24,9 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TextIO
 
-from .bench import ALGORITHMS, build_report, run_bench, run_coloring, write_csv
+from .bench import ALGORITHMS, build_report, run_coloring
 from .coloring import format_coloring, parse_coloring, verify_colors
 from .generators import FAMILIES, GenSpec, generate
 from .graph import read_edge_list, write_edge_list
@@ -45,6 +46,15 @@ def _resolve_seed(value: int | None) -> int:
         raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
+def _open_input(path: Path) -> TextIO:
+    """Open a text input as UTF-8, whatever the locale.
+
+    Bytes that are not UTF-8 reach the parser as lone surrogates, and it
+    rejects the line that holds them by number.
+    """
+    return path.open(encoding="utf-8", errors="surrogateescape")
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
@@ -58,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgecolor",
         description="Generate graphs, color their edges with max_degree + 1 "
-        "colors, verify colorings, and run timing sweeps.",
+        "colors, and verify colorings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -97,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allowed number of colors (default: max_degree + 1)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="run a benchmark manifest, emit CSV")
-    p.add_argument("manifest", type=Path, help="JSON manifest file")
-    p.add_argument("-o", "--out", type=Path, help="CSV path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -128,7 +132,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    with args.input.open() as fh:
+    with _open_input(args.input) as fh:
         g = read_edge_list(fh)
     seed = _resolve_seed(args.seed)
     result = run_coloring(g, args.algo, seed, trace=args.trace)
@@ -149,9 +153,9 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with args.graph.open() as fh:
+    with _open_input(args.graph) as fh:
         g = read_edge_list(fh)
-    with args.coloring.open() as fh:
+    with _open_input(args.coloring) as fh:
         colors = parse_coloring(fh, g.m)
     palette = args.palette if args.palette is not None else g.max_degree + 1
     verdict = verify_colors(g, colors, palette)
@@ -165,17 +169,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"violation: edge {v.edges[0]} has out-of-range color {v.color}")
     print("proper" if verdict.proper else "improper")
     return 0 if verdict.proper else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    manifest = json.loads(args.manifest.read_text())
-    rows = run_bench(manifest, jobs=args.jobs)
-    if args.out is None:
-        write_csv(rows, sys.stdout)
-    else:
-        with args.out.open("w") as fh:
-            write_csv(rows, fh)
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -58,16 +58,6 @@ class GenSpec:
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
-    @staticmethod
-    def from_dict(data: dict) -> GenSpec:
-        known = {f for f in GenSpec.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise InfeasibleSpecError(f"unknown spec fields: {sorted(unknown)}")
-        if "family" not in data:
-            raise InfeasibleSpecError("spec needs a 'family' field")
-        return GenSpec(**data)
-
     def known_arboricity(self) -> int | None:
         """Upper bound on arboricity guaranteed by construction, if any."""
         if self.family == "star":

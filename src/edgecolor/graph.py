@@ -195,15 +195,28 @@ def int_pairs(source: str | TextIO) -> Iterator[tuple[int, int, int]]:
 
     ``source`` is an open text file or a string, split into lines alike
     (universal newlines).  Blank lines and ``#`` comments are skipped;
-    any other line is a :class:`ParseError`.
+    any other line is a :class:`ParseError`.  An integer is ASCII
+    decimal digits with an optional leading ``-``: ``int`` would also
+    take ``+``, ``_`` and non-ASCII digits, which are refused here.  A
+    line holding a lone surrogate, which is how a file opened with
+    ``errors="surrogateescape"`` carries bytes that are not UTF-8, is a
+    :class:`ParseError` too, comment or not.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     for line_no, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(line_no, "not valid UTF-8") from None
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
         try:
             a, b = parts
+            token = a + b
+            if not token.isascii() or "+" in token or "_" in token:
+                raise ValueError
             a, b = int(a), int(b)
         except ValueError:
             raise ParseError(line_no, f"expected two integers, got {raw.strip()!r}") from None

@@ -1,7 +1,6 @@
-"""Benchmark harness and command-line interface, end to end."""
+"""Timed runs, their reports and the command-line interface, end to end."""
 
 import importlib
-import io
 import json
 import os
 import subprocess
@@ -15,21 +14,10 @@ from hypothesis import strategies as st
 
 import edgecolor
 from _util import graphs
-from edgecolor.bench import (
-    ALGORITHMS,
-    CSV_COLUMNS,
-    BenchCell,
-    build_report,
-    load_manifest,
-    run_bench,
-    run_cell,
-    run_coloring,
-    summarize_steps,
-    write_csv,
-)
+from edgecolor.bench import ALGORITHMS, build_report, run_coloring, summarize_steps
 from edgecolor.cli import SEED_ENV, main
 from edgecolor.coloring import validate_structures, verify_colors, verify_proper
-from edgecolor.generators import GenSpec, gen_star_plus_forests
+from edgecolor.generators import gen_star_plus_forests
 from edgecolor.graph import build_graph
 from edgecolor.recursive import recursive_color_edges
 from edgecolor.sequential import StepTrace
@@ -109,128 +97,6 @@ def test_summarize_steps():
         "mean_fan_size": 2.0,
         "mean_path_length": 2.0,
     }
-
-
-def test_load_manifest_defaults():
-    cells = load_manifest({"entries": [{"spec": {"family": "star", "n": 5}}]})
-    assert cells == [BenchCell(GenSpec(family="star", n=5), "color-edges", 0, 5)]
-
-
-def test_load_manifest_expansion():
-    manifest = {
-        "entries": [
-            {
-                "spec": {"family": "star", "n": 5},
-                "algos": ["naive", "recursive"],
-                "seeds": [1, 2, 3],
-                "reps": 2,
-            }
-        ]
-    }
-    cells = load_manifest(manifest)
-    assert len(cells) == 6
-    assert [(c.algorithm, c.seed) for c in cells] == [
-        ("naive", 1), ("naive", 2), ("naive", 3),
-        ("recursive", 1), ("recursive", 2), ("recursive", 3),
-    ]
-    assert all(c.reps == 2 for c in cells)
-
-
-@pytest.mark.parametrize(
-    "manifest,match",
-    [
-        ({}, "entries"),
-        ({"entries": [42]}, "not an object"),
-        ({"entries": [{"spec": {"family": "star", "n": 3}, "speed": 9}]}, "unknown keys"),
-        ({"entries": [{"algos": ["naive"]}]}, "missing 'spec'"),
-        ({"entries": [{"spec": {"family": "star", "n": 3}, "algos": ["fast"]}]}, "algorithm"),
-        (
-            {"entries": [{"spec": {"family": "star", "n": 3}, "seeds": [1], "seed": 2}]},
-            "not both",
-        ),
-        ({"entries": [{"spec": {"family": "star", "n": 3}, "reps": 0}]}, "reps"),
-        ({"entries": [{"spec": {"family": "star", "n": 3}, "seeds": ["a"]}]}, "integers"),
-    ],
-)
-def test_load_manifest_rejects(manifest, match):
-    with pytest.raises(ValueError, match=match):
-        load_manifest(manifest)
-
-
-def test_run_cell_ok_row():
-    cell = BenchCell(GenSpec(family="star", n=50), "color-edges", 3, 2)
-    row = run_cell(cell)
-    assert row["status"] == "ok"
-    assert (row["family"], row["n"], row["m"]) == ("star", 50, 49)
-    assert row["alpha_known"] == 1
-    assert float(row["wall_ms"]) >= 0.0
-
-
-def test_run_cell_flags_infeasible_spec():
-    cell = BenchCell(GenSpec(family="erdos-renyi", n=4, m=99), "naive", 0, 1)
-    row = run_cell(cell)
-    assert row["status"] == "error:InfeasibleSpecError"
-    assert row["family"] == "erdos-renyi"
-    assert row["n"] == ""  # generation failed before stats
-
-
-def test_run_bench_parallel_matches_serial():
-    manifest = {
-        "entries": [
-            {"spec": {"family": "star", "n": 30}, "algos": ["naive", "recursive"], "reps": 1},
-            {"spec": {"family": "grid", "rows": 4, "cols": 4}, "reps": 1},
-        ]
-    }
-    serial = run_bench(manifest, jobs=1)
-    parallel = run_bench(manifest, jobs=2)
-
-    def strip(rows):
-        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-
-    assert strip(serial) == strip(parallel)
-    assert len(serial) == 3
-
-
-def test_run_bench_clamps_jobs(monkeypatch):
-    """Workers never outnumber cells or CPUs; no real process is started."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(edgecolor.bench, "ProcessPoolExecutor", RecordingPool)
-    manifest = {"entries": [{"spec": {"family": "star", "n": 6},
-                             "algos": ["naive", "color-edges"], "reps": 1}]}
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    rows = run_bench(manifest, jobs=10**6)
-    assert started == [2]
-    assert [r["status"] for r in rows] == ["ok", "ok"]
-    for cpus in (1, None):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-        assert len(run_bench(manifest, jobs=10**6)) == 2
-    assert started == [2]  # one CPU, or an unknown count: the cells ran in process
-
-
-def test_csv_header_is_pinned():
-    fh = io.StringIO()
-    write_csv([], fh)
-    assert fh.getvalue() == (
-        "family,n,m,max_degree,alpha_known,degeneracy,weight,algo,seed,wall_ms,status\n"
-    )
-    assert tuple(CSV_COLUMNS) == (
-        "family", "n", "m", "max_degree", "alpha_known", "degeneracy",
-        "weight", "algo", "seed", "wall_ms", "status",
-    )
 
 
 # -- command-line interface ----------------------------------------------------
@@ -329,6 +195,26 @@ def test_cli_color_report_and_dump_paths(tmp_path, capsys):
     assert dump.exists() and not graph_path.with_suffix(".colors").exists()
 
 
+def test_cli_color_names_the_line_of_undecodable_bytes(tmp_path, capsys):
+    graph_path = tmp_path / "latin1.edges"
+    graph_path.write_bytes(b"3 2\n0 1\n# caf\xe9\n1 2\n")
+    assert main(["color", str(graph_path)]) == 2
+    assert capsys.readouterr().err == "error: line 3: not valid UTF-8\n"
+    graph_path.write_bytes("3 2\n0 1\n# caf\u00e9\n1 2\n".encode())
+    assert main(["color", str(graph_path), "--dump", str(tmp_path / "d.colors")]) == 0
+    dump = tmp_path / "bad.colors"
+    dump.write_bytes(b"0 1\n1 \xff\n")
+    assert main(["verify", str(graph_path), str(dump)]) == 2
+    assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+
+
+def test_cli_has_no_bench_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "x.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_cli_color_determinism(tmp_path, capsys):
     graph_path = _generate(tmp_path)
     dumps = []
@@ -358,30 +244,6 @@ def test_cli_trace_files(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["level_stats"] and "violations" in report["level_stats"][0]
     assert not (tmp_path / "t.colors.trace.json").exists()
-
-
-def test_cli_bench_csv(tmp_path, capsys):
-    manifest = {
-        "entries": [
-            {"spec": {"family": "grid", "rows": 3, "cols": 3},
-             "algos": ["naive", "color-edges"], "reps": 1},
-        ]
-    }
-    manifest_path = tmp_path / "m.json"
-    manifest_path.write_text(json.dumps(manifest))
-    out_path = tmp_path / "rows.csv"
-    assert main(["bench", str(manifest_path), "-o", str(out_path)]) == 0
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 3
-    assert all(line.endswith(",ok") for line in lines[1:])
-
-
-def test_cli_bench_bad_manifest(tmp_path, capsys):
-    manifest_path = tmp_path / "m.json"
-    manifest_path.write_text(json.dumps({"entries": [{"reps": 1}]}))
-    assert main(["bench", str(manifest_path)]) == 2
-    assert "missing 'spec'" in capsys.readouterr().err
 
 
 def test_installed_script_runs():

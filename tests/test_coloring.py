@@ -298,6 +298,9 @@ def test_parse_coloring_errors_name_their_line():
         parse_coloring("0 -1\n", 3)
     with pytest.raises(ParseError, match="^line 2: expected two integers"):
         parse_coloring("0 1\n1 2 3\n", 3)
+    for bad in ("\u0661 \u0662", "+1 2", "1 0_2"):
+        with pytest.raises(ParseError, match="^line 2: expected two integers, got "):
+            parse_coloring(f"0 1\n{bad}\n", 3)
 
 
 def test_parse_coloring_from_a_file(tmp_path):

@@ -208,6 +208,12 @@ def test_read_edge_list_errors_name_their_line():
         read_edge_list("# x\n-1 0\n")
     with pytest.raises(ParseError, match="^line 1: missing 'n m' header$"):
         read_edge_list("# only a comment\n\n")
+    # Integers are ASCII decimal: no Arabic-Indic digits, no "+", no "_".
+    for bad in ("\u0660 \u0661", "+1 2", "1 0_2"):
+        with pytest.raises(ParseError, match="^line 3: expected two integers, got "):
+            read_edge_list(f"3 2\n0 1\n{bad}\n")
+    with pytest.raises(ParseError, match="^line 2: not valid UTF-8$"):
+        read_edge_list("3 1\n# caf\udce9\n0 1\n")
 
 
 def test_read_edge_list_from_a_file(tmp_path):
