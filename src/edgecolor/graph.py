@@ -160,8 +160,6 @@ def degeneracy(g: Graph) -> int:
         # Skip stale bucket entries; a vertex is live only in the bucket
         # matching its current degree.
         while True:
-            if cur >= len(bins):  # pragma: no cover - defensive
-                return best
             if not bins[cur]:
                 cur += 1
                 continue

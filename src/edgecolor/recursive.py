@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator
 
 from .coloring import UNCOLORED, ColorConflictError, PartialColoring
 from .graph import Graph, build_graph, edge_weight, graph_weight
@@ -63,23 +62,33 @@ class EulerSplit:
         return left, right
 
 
-def _tour_decomposition(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
-    """Greedy maximal-tour removal; yields (vertices, edge_ids) per tour.
+def euler_partition(g: Graph) -> EulerSplit:
+    """Split ``g`` into two halves along an Euler partition.
 
-    Open tours are walked from odd-degree vertices first, so each odd
-    vertex terminates exactly one tour; what remains has even degrees
-    everywhere and decomposes into closed tours.  Linear time via one
-    adjacency cursor per vertex.
+    Maximal tours are removed greedily, open ones from the odd-degree
+    vertices first, so each odd vertex ends exactly one tour and the rest
+    falls into closed tours; one adjacency cursor per vertex keeps this
+    linear.  Each tour's edges alternate sides, starting left.  Passing
+    through a vertex puts one edge on each side, so only tour ends are
+    unbalanced: an open tour adds one edge to a side at each end, and an
+    even closed tour adds nothing.  An odd closed tour puts its first and
+    last edge on the same side, so it is rotated to start at its visited
+    vertex with the least imbalance so far, and that doubled pair goes to
+    the vertex's lighter side; this choice is what keeps the +-1 degree
+    bounds.  Deterministic for a given graph.
     """
+    side = bytearray(g.m)
+    imbalance = [0] * g.n  # (left degree - right degree) so far
     used = bytearray(g.m)
     cursor = [0] * g.n
     rem = list(g.degree)
     adjacency = g.adjacency
 
-    def walk(start: int) -> tuple[list[int], list[int]]:
+    def walk(start: int) -> None:
         verts = [start]
         eids: list[int] = []
         cur = start
+        s = LEFT
         while True:
             adj = adjacency[cur]
             i = cursor[cur]
@@ -87,81 +96,38 @@ def _tour_decomposition(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
                 i += 1
             cursor[cur] = i
             if i == len(adj):
-                return verts, eids
+                break
             nxt, e = adj[i]
             used[e] = 1
+            side[e] = s
+            s ^= 1
             rem[cur] -= 1
             rem[nxt] -= 1
             verts.append(nxt)
             eids.append(e)
             cur = nxt
-
-    for v in range(g.n):
-        if g.degree[v] % 2 == 1 and rem[v] % 2 == 1:
-            yield walk(v)
-    for v in range(g.n):
-        while rem[v] > 0:
-            yield walk(v)
-
-
-def euler_partition(g: Graph) -> EulerSplit:
-    """Split ``g`` into two halves along an Euler partition.
-
-    Tour edges alternate sides.  The free choices (which side an open
-    tour starts on; where an odd closed tour starts and which side gets
-    its doubled pair) greedily reduce the running per-vertex imbalance;
-    any choice satisfies the +-1 degree bounds, this just tightens
-    typical splits.  Deterministic for a given graph.
-    """
-    side = bytearray(g.m)
-    imbalance = [0] * g.n  # (left degree - right degree) so far
-
-    for verts, eids in _tour_decomposition(g):
         length = len(eids)
-        if length == 0:
-            continue
-        closed = verts[0] == verts[-1]
-        if not closed:
-            u, w = verts[0], verts[-1]
-            # Starting left puts the first edge left, and the last one too
-            # when the length is odd; starting right negates both.
-            iu, iw = imbalance[u], imbalance[w]
-            du, dw = 1, (1 if length % 2 else -1)
-            if abs(iu - du) + abs(iw - dw) < abs(iu + du) + abs(iw + dw):  # ties go left
-                du, dw = -du, -dw
-            imbalance[u] = iu + du
-            imbalance[w] = iw + dw
-            _assign_alternating(side, eids, LEFT if du == 1 else RIGHT)
-        elif length % 2 == 0:
-            # Even closed tour: perfectly balanced at every vertex no
-            # matter where it starts.
-            _assign_alternating(side, eids, LEFT)
-        else:
-            # Odd closed tour: whoever starts it gets two extra edges on
-            # the starting side.  Rotate the tour to start at the visited
-            # vertex with the smallest current imbalance and give the
-            # doubled pair to its lighter side.
-            best_p = 0
-            best_imb = abs(imbalance[verts[0]])
-            for p in range(1, length):
-                b = abs(imbalance[verts[p]])
-                if b < best_imb:
-                    best_imb = b
-                    best_p = p
+        if cur != start:
+            # Open tour: both ends are odd vertices that end no other tour
+            # and no closed tour has been walked yet, so both are balanced
+            # here and starting left is as good as starting right.
+            imbalance[start] += 1
+            imbalance[cur] += 1 if length % 2 else -1
+        elif length % 2:
+            best_p = min(range(length), key=lambda p: abs(imbalance[verts[p]]))
             x = verts[best_p]
             s = LEFT if imbalance[x] <= 0 else RIGHT
-            rotated = eids[best_p:] + eids[:best_p]
-            _assign_alternating(side, rotated, s)
+            for i in range(length):
+                side[eids[(best_p + i) % length]] = s ^ (i & 1)
             imbalance[x] += 2 if s == LEFT else -2
 
+    for v in range(g.n):
+        if rem[v] % 2:
+            walk(v)
+    for v in range(g.n):
+        while rem[v] > 0:
+            walk(v)
     return _materialize_split(g, side)
-
-
-def _assign_alternating(side: bytearray, eids: list[int], start_side: int) -> None:
-    s = start_side
-    for e in eids:
-        side[e] = s
-        s ^= 1
 
 
 def _materialize_split(g: Graph, side: bytearray) -> EulerSplit:
@@ -337,10 +303,13 @@ def recursive_color_edges(
     return _recurse(g, rng, trace, prune_by, recursion_threshold(g.n), 0, vmap)
 
 
-# edgebench/spans.py wraps _recurse, euler_partition, build_graph,
-# merge_colorings, prune_min_weight_colors and color_edges by their
-# module-level names and reads ``level`` as the sixth positional argument
-# of _recurse, so these names, that argument order and the calls below
+# A node has one body: a base node is a node with nothing to merge, and
+# every node ends in exactly one color_edges call.  edgebench/spans.py
+# wraps _recurse, euler_partition, build_graph, merge_colorings,
+# prune_min_weight_colors and color_edges by their module-level names,
+# reads ``level`` as the sixth positional argument of _recurse, and tells
+# a base node from a repair by whether the coloring is still empty when
+# color_edges runs; so these names, that argument order and that one call
 # must stay.  ``vmap`` maps this node's vertices to root ids; it is kept
 # only when tracing.
 def _recurse(
@@ -352,52 +321,39 @@ def _recurse(
     level: int,
     vmap: list[int] | None,
 ) -> PartialColoring:
+    merged = pruned_weight = None
     if g.max_degree <= threshold:
         chi = PartialColoring(g, g.max_degree + 1)
-        color_edges(g, chi, rng)
+    else:
+        split = euler_partition(g)
+        seed_left = rng.getrandbits(64)
+        seed_right = rng.getrandbits(64)
+        lmap = rmap = None
         if trace is not None:
-            _record(trace, g, level, vmap, True, None, None)
-        return chi
-    split = euler_partition(g)
-    seed_left = rng.getrandbits(64)
-    seed_right = rng.getrandbits(64)
-    lmap = rmap = None
+            lmap = [vmap[p] for p in split.left_vertices]
+            rmap = [vmap[p] for p in split.right_vertices]
+        chi_left = _recurse(split.left, Random(seed_left), trace, prune_by, threshold, level + 1, lmap)
+        chi_right = _recurse(split.right, Random(seed_right), trace, prune_by, threshold, level + 1, rmap)
+        colors, merged = merge_colorings(g, split, chi_left, chi_right)
+        chi = prune_min_weight_colors(g, colors, merged, g.max_degree + 1, by=prune_by)
+        if trace is not None:
+            pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
     if trace is not None:
-        lmap = [vmap[p] for p in split.left_vertices]
-        rmap = [vmap[p] for p in split.right_vertices]
-    chi_left = _recurse(split.left, Random(seed_left), trace, prune_by, threshold, level + 1, lmap)
-    chi_right = _recurse(split.right, Random(seed_right), trace, prune_by, threshold, level + 1, rmap)
-    colors, k = merge_colorings(g, split, chi_left, chi_right)
-    chi = prune_min_weight_colors(g, colors, k, g.max_degree + 1, by=prune_by)
-    if trace is not None:
-        pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
-        _record(trace, g, level, vmap, False, k, pruned_weight)
+        trace.nodes.append(
+            RecursionNode(
+                level=level,
+                m=g.m,
+                max_degree=g.max_degree,
+                weight=graph_weight(g),
+                vertices=vmap,
+                degrees=g.degree,
+                is_base=merged is None,
+                merged_palette=merged,
+                pruned_weight=pruned_weight,
+            )
+        )
     color_edges(g, chi, rng)
     return chi
-
-
-def _record(
-    trace: RecursionTrace,
-    g: Graph,
-    level: int,
-    vmap: list[int],
-    is_base: bool,
-    merged_palette: int | None,
-    pruned_weight: int | None,
-) -> None:
-    trace.nodes.append(
-        RecursionNode(
-            level=level,
-            m=g.m,
-            max_degree=g.max_degree,
-            weight=graph_weight(g),
-            vertices=vmap,
-            degrees=g.degree,
-            is_base=is_base,
-            merged_palette=merged_palette,
-            pruned_weight=pruned_weight,
-        )
-    )
 
 
 def collect_level_stats(trace: RecursionTrace) -> list[LevelStats]:

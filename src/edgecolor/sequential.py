@@ -83,16 +83,15 @@ def color_one_edge(
 def color_edges(
     g: Graph, chi: PartialColoring, rng: Random, trace: bool = False
 ) -> list[StepTrace] | None:
-    """Color all uncolored edges by repeated random single-edge steps."""
-    if not trace:
-        while chi.uncolored:
-            color_one_edge(g, chi, rng)
-        return None
-    steps: list[StepTrace] = []
+    """Color all uncolored edges by repeated random single-edge steps.
+
+    Returns one :class:`StepTrace` per step when ``trace`` is set, else None.
+    """
+    steps: list[StepTrace] | None = [] if trace else None
     while chi.uncolored:
-        step = color_one_edge(g, chi, rng, trace=True)
-        assert step is not None
-        steps.append(step)
+        step = color_one_edge(g, chi, rng, trace)
+        if steps is not None:
+            steps.append(step)
     return steps
 
 

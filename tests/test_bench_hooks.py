@@ -53,7 +53,12 @@ def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
     assert _namespaces() == before
     _incl, _own, calls = tracer.totals()
     for name in ("graph.read", "run_coloring", "report", "graph.stats", "coloring.verify",
-                 "coloring.dump", "coloring.init", "recursive.node", "recursive.split",
-                 "graph.build", "recursive.merge", "recursive.prune", "recursive.base",
-                 "sequential.step"):
+                 "coloring.dump", "coloring.init", "coloring.missing_color", "recursive.node",
+                 "recursive.split", "graph.build", "recursive.merge", "recursive.prune",
+                 "recursive.base", "recursive.repair", "sequential.step", "fanpath.fan",
+                 "fanpath.path", "fanpath.extend"):
         assert calls[name] > 0, name
+    # Every recursion node colors through exactly one color_edges call, a
+    # base or a repair, and every node that splits repairs.
+    assert calls["recursive.base"] + calls["recursive.repair"] == calls["recursive.node"]
+    assert calls["recursive.repair"] == calls["recursive.split"]

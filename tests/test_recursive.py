@@ -11,6 +11,7 @@ from _util import graphs, random_graph
 from edgecolor.coloring import PartialColoring, format_coloring, verify_colors, verify_proper
 from edgecolor.generators import (
     gen_erdos_renyi,
+    gen_forest_union,
     gen_grid,
     gen_preferential_attachment,
     gen_star,
@@ -331,6 +332,44 @@ def test_recursive_golden_dump(prune_by):
     chi = recursive_color_edges(g, Random(42), prune_by=prune_by)
     digest = hashlib.sha256(format_coloring(chi).encode()).hexdigest()
     assert digest == GOLDEN_DUMPS[prune_by]
+
+
+# sha256 of each split's four id lists, on every generator family at sizes
+# with max degree > 2: open tours (stars), odd closed tours (erdos-renyi,
+# preferential attachment) and even ones (grids).  Any change to the tour
+# walk or the side choices shows here.
+GOLDEN_SPLITS = [
+    (gen_star, (9,), "9c27cb88e8db2d2205e8ddc722c3be72080257183fb651c616560e90e98d4294"),
+    (gen_star, (200,), "cd4231ef6334bd80883274a5bc6dfa5b6204deb5ba306e964bd433f04512816a"),
+    (gen_forest_union, (300, 3, 1),
+     "71175442e4acaa5d69e361269978a3bf0c2e5c7699bd9f88b72dc43d83af0533"),
+    (gen_forest_union, (800, 5, 2),
+     "94504a9874f24c96e55c6374a18ceaa0d2ebc069126c61f9f37446c642cfdd5e"),
+    (gen_star_plus_forests, (256, 2, 1),
+     "befb9159b014e46ffbb235ceb7d1423df0d8bf62afbe42ff538ad4adcf89bdd4"),
+    (gen_star_plus_forests, (1024, 3, 2),
+     "097a71f642fdf8db3a0c000d0666f5fd4cfe5ae7002de85e661677740b418101"),
+    (gen_erdos_renyi, (100, 400, 1),
+     "5a84dc8f460f9b23964223e52c68908b9c05daa170a304c4bf4b49cd8992f215"),
+    (gen_erdos_renyi, (500, 3000, 2),
+     "0a4e42561a33b3bd37927410211f52866fd90f0b12fbac5fc27df286207cf588"),
+    (gen_preferential_attachment, (200, 3, 1),
+     "23cd3daab4f4e088acc7a16340e67151f31b458c8de6e6e45ba49a54781cdee1"),
+    (gen_preferential_attachment, (1000, 8, 2),
+     "25a415b9acb8b15e361664bb8d06fb8b31c9a0077b1f025e3d70533836a46d00"),
+    (gen_grid, (5, 7), "60d93d2afcced50a2a5b6b792714a7490daceee6c02022966155b0abdb06a962"),
+    (gen_grid, (20, 13), "dec1034f7655c188c75e634e8d8646331e55ea35501cb56b04249c927919f14c"),
+]
+
+
+def test_euler_split_golden():
+    got, want = {}, {}
+    for make, args, digest in GOLDEN_SPLITS:
+        split = euler_partition(make(*args))
+        ids = (split.left_edges, split.right_edges, split.left_vertices, split.right_vertices)
+        got[make.__name__, args] = hashlib.sha256(repr(ids).encode()).hexdigest()
+        want[make.__name__, args] = digest
+    assert got == want
 
 
 def test_prune_by_size_end_to_end():
