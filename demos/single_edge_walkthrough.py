@@ -49,8 +49,10 @@ def main():
     c0 = 3  # any color missing at the center works; take 3
     fan = make_primed_fan(g, chi, edge, center)
     c1 = fan.primed_color
-    print(f"\nfan leaves {fan.leaves}, spoke colors {fan.leaf_colors}")
-    print(f"primed color {c1} ({fan.primed_case} case, index {fan.primed_index}):")
+    spokes = [chi.color[e] for e in fan.edge_ids[1:]]
+    print(f"\nfan leaves {fan.leaves}, spoke colors {spokes}")
+    j = fan.primed_index
+    print(f"primed color {c1} (also missing at leaf {fan.leaves[j]}, index {j}):")
     print(f"  {c1} is missing at the last leaf {fan.leaves[-1]}, and already")
     print(f"  appears inside the fan, so the fan cannot grow further")
 

@@ -279,7 +279,7 @@ def verify_colors(g: Graph, colors: Sequence[int], palette: int) -> ColoringRepo
             violations.append(Violation("color-out-of-range", None, c, (e,)))
     for v in range(g.n):
         seen: dict[int, int] = {}
-        for _, eid in g.adjacency[v]:
+        for eid in g.adjacency[v]:
             c = colors[eid]
             if c == UNCOLORED:
                 continue

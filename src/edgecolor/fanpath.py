@@ -39,20 +39,18 @@ class NotMaximalError(ValueError):
 class Fan:
     """A primed fan.
 
-    ``leaves[0]`` is the endpoint of the uncolored edge ``edge_ids[0]``;
-    ``leaf_colors[i]`` is the color of ``edge_ids[i + 1]`` at the time of
-    construction.  ``primed_color`` is missing at the last leaf;
-    ``primed_case`` records how it primes the fan: ``"center"`` when it
-    is also missing at the center, else ``"leaf"`` with ``primed_index``
-    naming the earlier leaf at which it is missing.
+    ``leaves[0]`` is the endpoint of the uncolored edge ``edge_ids[0]``,
+    and ``edge_ids[i]`` joins the center to ``leaves[i]``; the colors of
+    the fan edges are read from the coloring.  ``primed_color`` is
+    missing at the last leaf.  ``primed_index`` is None when it is also
+    missing at the center; otherwise it names the earlier leaf at which
+    it is missing, and it colors the fan edge ``primed_index + 1``.
     """
 
     center: int
     leaves: list[int]
     edge_ids: list[int]
-    leaf_colors: list[int]
     primed_color: int
-    primed_case: str
     primed_index: int | None
 
     @property
@@ -107,24 +105,21 @@ def make_primed_fan(g: Graph, chi: PartialColoring, edge: int, center: int) -> F
     occ_center = chi.occupied[center]
     leaves = [x0]
     edge_ids = [edge]
-    leaf_colors: list[int] = []
     leaf_set = {x0}
     tip = x0
     while True:
         c1 = chi.some_missing_color(tip)
         next_edge = occ_center.get(c1)
         if next_edge is None:
-            return Fan(center, leaves, edge_ids, leaf_colors, c1, "center", None)
+            return Fan(center, leaves, edge_ids, c1, None)
         nxt = g.other_endpoint(next_edge, center)
         if nxt in leaf_set:
             # The edge colored c1 leads back into the fan, so c1 equals
             # the color of some fan edge (v, x_j); by the fan property it
             # is missing at the leaf before x_j.
-            j = leaves.index(nxt) - 1
-            return Fan(center, leaves, edge_ids, leaf_colors, c1, "leaf", j)
+            return Fan(center, leaves, edge_ids, c1, leaves.index(nxt) - 1)
         leaves.append(nxt)
         edge_ids.append(next_edge)
-        leaf_colors.append(c1)
         leaf_set.add(nxt)
         tip = nxt
 
@@ -241,45 +236,34 @@ def extend_coloring(
 ) -> None:
     """Color the fan's uncolored edge, recoloring along fan and path.
 
-    Three cases, checked against the live coloring state:
+    Two cases, checked against the live coloring state:
 
     * the primed color is missing at the center: shift the whole fan and
       put the primed color on its last edge;
-    * otherwise the primed color sits on fan edge ``j``; flip the path
-      (which starts at the center on that very edge) and then, depending
-      on whether the path ended at leaf ``j - 1``, shift up to ``j - 1``
-      or shift the whole fan before placing the primed color.
+    * otherwise the primed color sits on fan edge ``j + 1``, where ``j``
+      is the fan's ``primed_index``; flip the path (which starts at the
+      center on that very edge) and then, unless the path ended at leaf
+      ``j``, shift only up to ``j`` before placing the primed color.
 
     The fan must come from :func:`make_primed_fan` and the path from
     :func:`maximal_alternating_path` on the same state, with the path's
-    ``c1`` equal to the fan's primed color.  Exactly one more edge is
-    colored afterwards.  Runs in O(fan size + path length).
+    ``c1`` equal to the fan's primed color; the path is unused, and may
+    be None, in the first case.  Exactly one more edge is colored
+    afterwards.  Runs in O(fan size + path length).
     """
     v = fan.center
     c1 = fan.primed_color
-    t = len(fan.leaves) - 1
-    if chi.is_missing(v, c1):
-        shift_fan(chi, fan, t)
-        chi.assign(fan.edge_ids[t], c1)
-        return
-    if path is None:
-        raise NotMaximalError("primed color present at center but no path was supplied")
-    try:
-        j = fan.leaf_colors.index(c1) + 1
-    except ValueError:
-        raise InvalidFanError(
-            f"primed color {c1} is neither missing at center {v} nor on a fan edge"
-        ) from None
-    if j >= len(fan.leaves):
-        raise InvalidFanError("primed color sits on the last fan edge; fan is not primed")
-    if path.c1 != c1 or path.start != v:
-        raise NotMaximalError("path does not match the fan's center and primed color")
-    w = path.end
-    flip_path(chi, path)
-    if w != fan.leaves[j - 1]:
-        shift_fan(chi, fan, j - 1)
-        chi.assign(fan.edge_ids[j - 1], c1)
-    else:
-        shift_fan(chi, fan, t)
-        chi.assign(fan.edge_ids[t], c1)
-
+    upto = len(fan.leaves) - 1
+    if not chi.is_missing(v, c1):
+        if path is None or path.c1 != c1 or path.start != v:
+            raise NotMaximalError("primed color present at center but no matching path")
+        j = fan.primed_index
+        if j is None or not 0 <= j < upto or chi.color[fan.edge_ids[j + 1]] != c1:
+            raise InvalidFanError(
+                f"primed color {c1} is neither missing at center {v} nor on a fan edge"
+            )
+        flip_path(chi, path)
+        if path.end != fan.leaves[j]:
+            upto = j
+    shift_fan(chi, fan, upto)
+    chi.assign(fan.edge_ids[upto], c1)

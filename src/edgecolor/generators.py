@@ -74,41 +74,33 @@ class GenSpec:
 def generate(spec: GenSpec) -> Graph:
     """Build the graph described by ``spec``.
 
-    Raises :class:`InfeasibleSpecError` for unknown families or
+    Raises :class:`InfeasibleSpecError` for unknown families, for unset
+    fields the family needs, and (from the ``gen_*`` builder) for
     out-of-range parameters.
     """
     family = spec.family
     if family == "star":
-        _need(spec.n is not None and spec.n >= 1, "star needs n >= 1")
-        return gen_star(spec.n)
+        return gen_star(*_required(spec, "n"))
     if family == "forest-union":
-        _need(spec.n is not None and spec.n >= 1, "forest-union needs n >= 1")
-        _need(spec.alpha is not None and spec.alpha >= 1, "forest-union needs alpha >= 1")
-        return gen_forest_union(spec.n, spec.alpha, spec.seed)
+        return gen_forest_union(*_required(spec, "n", "alpha"), spec.seed)
     if family == "star-plus-forests":
-        _need(spec.n is not None and spec.n >= 2, "star-plus-forests needs n >= 2")
-        _need(spec.alpha is not None and spec.alpha >= 2, "star-plus-forests needs alpha >= 2")
-        return gen_star_plus_forests(
-            spec.n, spec.alpha, spec.seed, spec.star_leaves, spec.forest_edges
-        )
+        n, alpha = _required(spec, "n", "alpha")
+        return gen_star_plus_forests(n, alpha, spec.seed, spec.star_leaves, spec.forest_edges)
     if family == "erdos-renyi":
-        _need(spec.n is not None and spec.n >= 1, "erdos-renyi needs n >= 1")
-        _need(spec.m is not None and spec.m >= 0, "erdos-renyi needs m >= 0")
-        return gen_erdos_renyi(spec.n, spec.m, spec.seed)
+        return gen_erdos_renyi(*_required(spec, "n", "m"), spec.seed)
     if family == "preferential-attachment":
-        _need(spec.n is not None and spec.n >= 3, "preferential-attachment needs n >= 3")
-        _need(spec.degree is not None and spec.degree >= 1, "attachment degree must be >= 1")
-        return gen_preferential_attachment(spec.n, spec.degree, spec.seed)
+        return gen_preferential_attachment(*_required(spec, "n", "degree"), spec.seed)
     if family == "grid":
-        _need(spec.rows is not None and spec.rows >= 1, "grid needs rows >= 1")
-        _need(spec.cols is not None and spec.cols >= 1, "grid needs cols >= 1")
-        return gen_grid(spec.rows, spec.cols)
+        return gen_grid(*_required(spec, "rows", "cols"))
     raise InfeasibleSpecError(f"unknown family {family!r}")
 
 
-def _need(condition: bool, message: str) -> None:
-    if not condition:
-        raise InfeasibleSpecError(message)
+def _required(spec: GenSpec, *names: str) -> list[int]:
+    """The values of the named fields, which must all be set."""
+    missing = [name for name in names if getattr(spec, name) is None]
+    if missing:
+        raise InfeasibleSpecError(f"{spec.family} needs {' and '.join(missing)}")
+    return [getattr(spec, name) for name in names]
 
 
 def gen_star(n: int) -> Graph:

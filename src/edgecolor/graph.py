@@ -63,7 +63,8 @@ class Graph:
         n: number of vertices.
         m: number of edges.
         endpoints: per edge id, the ``(u, v)`` pair as given on input.
-        adjacency: per vertex, a list of ``(neighbor, edge_id)`` pairs.
+        adjacency: per vertex, its edge ids in ascending order; the
+            neighbor across each is read from ``endpoints``.
         degree: per vertex, its degree.
         max_degree: largest degree (0 for an edgeless graph).
     """
@@ -71,7 +72,7 @@ class Graph:
     n: int
     m: int
     endpoints: list[tuple[int, int]]
-    adjacency: list[list[tuple[int, int]]]
+    adjacency: list[list[int]]
     degree: list[int]
     max_degree: int
 
@@ -101,20 +102,20 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     if n < 0:
         raise GraphError("vertex count must be non-negative")
     endpoints: list[tuple[int, int]] = []
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    seen: set[int] = set()
     for index, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(index, u, v, n)
         if u == v:
             raise SelfLoopError(index, u, v)
-        key = (u, v) if u < v else (v, u)
+        key = u * n + v if u < v else v * n + u
         if key in seen:
             raise DuplicateEdgeError(index, u, v)
         seen.add(key)
         endpoints.append((u, v))
-        adjacency[u].append((v, index))
-        adjacency[v].append((u, index))
+        adjacency[u].append(index)
+        adjacency[v].append(index)
     degree = [len(adjacency[v]) for v in range(n)]
     max_degree = max(degree, default=0)
     return Graph(n, len(endpoints), endpoints, adjacency, degree, max_degree)
@@ -156,6 +157,7 @@ def degeneracy(g: Graph) -> int:
     best = 0
     cur = 0
     adjacency = g.adjacency
+    endpoints = g.endpoints
     for _ in range(n):
         # Skip stale bucket entries; a vertex is live only in the bucket
         # matching its current degree.
@@ -169,7 +171,9 @@ def degeneracy(g: Graph) -> int:
         removed[v] = True
         if cur > best:
             best = cur
-        for u, _ in adjacency[v]:
+        for e in adjacency[v]:
+            a, b = endpoints[e]
+            u = b if a == v else a
             if not removed[u]:
                 deg[u] -= 1
                 bins[deg[u]].append(u)

@@ -1,11 +1,12 @@
 """Brute-force oracles for cross-checking the fast implementations.
 
-Everything here recomputes from first principles: maximal alternating
-paths are found by scanning two-color subgraphs rather than walking the
-incremental occupied maps, and the exhaustive suite replays the whole
-fan / path / extend pipeline over every small graph.  The only shared
-code with the fast paths is read access to ``Graph`` and
-``PartialColoring``.
+The checks recompute from first principles: maximal alternating paths
+are found by scanning two-color subgraphs rather than walking the
+incremental occupied maps, and fans are validated against the graph
+and the live coloring.  The exhaustive suite is the exception: it
+replays the fast ``make_primed_fan``, ``maximal_alternating_path`` and
+``extend_coloring`` over every small graph, and judges each result by
+an independent properness scan (``verify_proper``).
 """
 
 from __future__ import annotations
@@ -206,10 +207,7 @@ def exhaustive_extend_suite(
                     c0 = chi.random_missing_color(center, rng)
                     fan = make_primed_fan(g, chi, e, center)
                     c1 = fan.primed_color
-                    if c0 != c1:
-                        path = maximal_alternating_path(g, chi, center, c0, c1)
-                    else:
-                        path = AlternatingPath([center], [], c0, c1)
+                    path = maximal_alternating_path(g, chi, center, c0, c1) if c0 != c1 else None
                     extend_coloring(g, chi, fan, path)
                     report.instances += 1
                     tag = f"mask={mask} round={round_no} edge={e} center={center}"
@@ -234,9 +232,7 @@ def check_fan(g: Graph, chi: PartialColoring, fan) -> list[str]:
     leaves = fan.leaves
     if len(set(leaves)) != len(leaves):
         problems.append("leaves are not distinct")
-    neighbor_edges = dict()
-    for w, e in g.adjacency[v]:
-        neighbor_edges[w] = e
+    neighbor_edges = {g.other_endpoint(e, v): e for e in g.adjacency[v]}
     for i, x in enumerate(leaves):
         if x not in neighbor_edges:
             problems.append(f"leaf {x} is not a neighbor of the center")
@@ -248,26 +244,20 @@ def check_fan(g: Graph, chi: PartialColoring, fan) -> list[str]:
         c = chi.color[fan.edge_ids[i]]
         if c == UNCOLORED:
             problems.append(f"fan edge {i} is uncolored")
-            continue
-        if fan.leaf_colors[i - 1] != c:
-            problems.append(f"recorded color of fan edge {i} is stale")
-        if not chi.is_missing(leaves[i - 1], c):
+        elif not chi.is_missing(leaves[i - 1], c):
             problems.append(f"color {c} of fan edge {i} is present at leaf {i - 1}")
     c1 = fan.primed_color
     if not chi.is_missing(leaves[-1], c1):
         problems.append("primed color is present at the last leaf")
-    if fan.primed_case == "center":
+    j = fan.primed_index
+    if j is None:
         if not chi.is_missing(v, c1):
             problems.append("primed-at-center but color present at center")
-    elif fan.primed_case == "leaf":
-        j = fan.primed_index
-        if j is None or not (0 <= j < len(leaves) - 1):
-            problems.append("primed leaf index out of range")
-        else:
-            if not chi.is_missing(leaves[j], c1):
-                problems.append(f"primed color is present at leaf {j}")
-            if fan.leaf_colors[j] != c1:
-                problems.append("primed color does not match the fan edge after its leaf")
+    elif not (0 <= j < len(leaves) - 1):
+        problems.append("primed leaf index out of range")
     else:
-        problems.append(f"unknown primed case {fan.primed_case!r}")
+        if not chi.is_missing(leaves[j], c1):
+            problems.append(f"primed color is present at leaf {j}")
+        if chi.color[fan.edge_ids[j + 1]] != c1:
+            problems.append("primed color does not match the fan edge after its leaf")
     return problems

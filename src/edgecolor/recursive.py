@@ -83,6 +83,7 @@ def euler_partition(g: Graph) -> EulerSplit:
     cursor = [0] * g.n
     rem = list(g.degree)
     adjacency = g.adjacency
+    endpoints = g.endpoints
 
     def walk(start: int) -> None:
         verts = [start]
@@ -92,12 +93,14 @@ def euler_partition(g: Graph) -> EulerSplit:
         while True:
             adj = adjacency[cur]
             i = cursor[cur]
-            while i < len(adj) and used[adj[i][1]]:
+            while i < len(adj) and used[adj[i]]:
                 i += 1
             cursor[cur] = i
             if i == len(adj):
                 break
-            nxt, e = adj[i]
+            e = adj[i]
+            a, b = endpoints[e]
+            nxt = b if a == cur else a
             used[e] = 1
             side[e] = s
             s ^= 1

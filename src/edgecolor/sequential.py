@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .coloring import AlreadyColoredError, PartialColoring, UNCOLORED
-from .fanpath import (
-    AlternatingPath,
-    extend_coloring,
-    make_primed_fan,
-    maximal_alternating_path,
-)
+from .fanpath import extend_coloring, make_primed_fan, maximal_alternating_path
 from .graph import Graph
 
 
@@ -46,14 +41,11 @@ def _pipeline(
     """Fan / path / extend for one edge; returns (fan size, path length)."""
     fan = make_primed_fan(g, chi, edge, center)
     c1 = fan.primed_color
-    if c0 != c1:
-        path = maximal_alternating_path(g, chi, center, c0, c1)
-    else:
-        # c0 == c1 can only happen when c1 is missing at the center, in
-        # which case the maximal path is empty and unused.
-        path = AlternatingPath([center], [], c0, c1)
+    # c0 == c1 can only happen when c1 is missing at the center, where
+    # the maximal path is empty and extend_coloring does not use it.
+    path = maximal_alternating_path(g, chi, center, c0, c1) if c0 != c1 else None
     extend_coloring(g, chi, fan, path)
-    return fan.size, path.length
+    return fan.size, 0 if path is None else path.length
 
 
 def color_one_edge(

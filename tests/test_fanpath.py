@@ -1,5 +1,6 @@
 """Fans, alternating paths, flips, and the single-edge extension."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -30,7 +31,7 @@ def test_make_primed_fan_single_edge():
     chi = PartialColoring(g, 2)
     fan = make_primed_fan(g, chi, 0, center=0)
     assert fan.leaves == [1]
-    assert fan.primed_case == "center"
+    assert fan.primed_index is None  # primed at the center
     assert fan.primed_color == 1  # head of the free list at the leaf
     assert check_fan(g, chi, fan) == []
 
@@ -43,8 +44,7 @@ def test_make_primed_fan_walks_the_star():
     chi.assign(2, 2)
     fan = make_primed_fan(STAR4, chi, 0, center=0)
     assert fan.leaves == [1, 2, 3]
-    assert fan.leaf_colors == [1, 2]
-    assert fan.primed_case == "leaf"
+    assert [chi.color[e] for e in fan.edge_ids[1:]] == [1, 2]
     assert fan.primed_color == 1
     assert fan.primed_index == 0  # color 1 is missing at leaf 1
     assert check_fan(STAR4, chi, fan) == []
@@ -73,10 +73,10 @@ def test_fan_determinism():
     chi.assign(1, 1)
     f1 = make_primed_fan(STAR4, chi, 0, 0)
     f2 = make_primed_fan(STAR4, chi, 0, 0)
-    assert (f1.leaves, f1.primed_color, f1.primed_case) == (
+    assert (f1.leaves, f1.primed_color, f1.primed_index) == (
         f2.leaves,
         f2.primed_color,
-        f2.primed_case,
+        f2.primed_index,
     )
 
 
@@ -129,7 +129,7 @@ def test_shift_fan_rejects_invalidated_fan():
     chi = PartialColoring(g, 4)
     chi.assign(1, 1)  # (0,2) = 1
     fan = make_primed_fan(g, chi, 0, 0)
-    assert fan.leaves[:2] == [1, 2] and fan.leaf_colors[0] == 1
+    assert fan.leaves[:2] == [1, 2] and chi.color[fan.edge_ids[1]] == 1
     chi.assign(3, 1)  # (1,3) = 1: color 1 no longer missing at leaf 1
     with pytest.raises(InvalidFanError):
         shift_fan(chi, fan, 1)
@@ -176,7 +176,7 @@ def _assert_is_maximal(g, chi, p):
     for endpoint, inner in ((p.vertices[0], p.c0), (p.vertices[-1], None)):
         incident = [
             eid
-            for _, eid in g.adjacency[endpoint]
+            for eid in g.adjacency[endpoint]
             if chi.color[eid] in (p.c0, p.c1)
         ]
         assert len(incident) <= 1
@@ -277,7 +277,7 @@ def test_extend_star_shift_case():
     chi = PartialColoring(STAR4, 4)
     chi.assign(1, 1)
     fan = make_primed_fan(STAR4, chi, 0, 0)
-    assert fan.primed_case == "center"
+    assert fan.primed_index is None
     c0 = 3
     p = maximal_alternating_path(STAR4, chi, 0, c0, fan.primed_color)
     extend_coloring(STAR4, chi, fan, p)
@@ -289,10 +289,7 @@ def _run_pipeline(g, chi, e, center, rng):
     c0 = chi.random_missing_color(center, rng)
     fan = make_primed_fan(g, chi, e, center)
     c1 = fan.primed_color
-    if c0 != c1:
-        p = maximal_alternating_path(g, chi, center, c0, c1)
-    else:
-        p = AlternatingPath([center], [], c0, c1)
+    p = maximal_alternating_path(g, chi, center, c0, c1) if c0 != c1 else None
     extend_coloring(g, chi, fan, p)
 
 
@@ -320,9 +317,23 @@ def test_extend_rejects_missing_path():
     chi.assign(1, 1)
     chi.assign(2, 2)
     fan = make_primed_fan(STAR4, chi, 0, 0)
-    assert fan.primed_case == "leaf"
+    assert fan.primed_index is not None  # primed at a leaf
     with pytest.raises(NotMaximalError):
         extend_coloring(STAR4, chi, fan, None)
+
+
+def test_extend_rejects_fan_whose_primed_index_misses_the_primed_color():
+    # primed at leaf 0: color 1 sits on fan edge 1 and at the center
+    chi = PartialColoring(STAR4, 4)
+    chi.assign(1, 1)
+    chi.assign(2, 2)
+    fan = make_primed_fan(STAR4, chi, 0, 0)
+    path = maximal_alternating_path(STAR4, chi, 0, 3, fan.primed_color)
+    before = chi.color[:]
+    for j in (None, 1, 2, -1):  # center-primed, wrong edge, out of range
+        with pytest.raises(InvalidFanError):
+            extend_coloring(STAR4, chi, replace(fan, primed_index=j), path)
+        assert chi.color == before
 
 
 def test_internal_count_matches_definition_on_enumerated_paths():

@@ -40,7 +40,7 @@ def test_triangle():
     assert g.degree == [2, 2, 2]
     assert g.endpoints[1] == (1, 2)
     # every edge id appears exactly twice across adjacency lists
-    seen = [eid for adj in g.adjacency for _, eid in adj]
+    seen = [eid for adj in g.adjacency for eid in adj]
     assert sorted(seen) == [0, 0, 1, 1, 2, 2]
 
 
@@ -121,7 +121,8 @@ def _degeneracy_naive(g):
         v = min(alive, key=lambda x: (deg[x], x))
         best = max(best, deg[v])
         alive.remove(v)
-        for u, _ in g.adjacency[v]:
+        for e in g.adjacency[v]:
+            u = g.other_endpoint(e, v)
             if u in alive:
                 deg[u] -= 1
     return best

@@ -142,7 +142,7 @@ def test_check_fan_flags_tampering():
     chi.assign(2, 2)
     fan = make_primed_fan(g, chi, 0, 0)
     assert check_fan(g, chi, fan) == []
-    bad_color = replace(fan, primed_color=2, primed_case="center")
+    bad_color = replace(fan, primed_color=2, primed_index=None)
     assert any("last leaf" in p for p in check_fan(g, chi, bad_color))
     bad_leaves = replace(fan, leaves=list(reversed(fan.leaves)))
     assert check_fan(g, chi, bad_leaves) != []

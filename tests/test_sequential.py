@@ -1,5 +1,6 @@
 """Randomized and deterministic full colorings, step traces."""
 
+import hashlib
 from random import Random
 
 import pytest
@@ -7,15 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import graphs, random_graph, random_partial
+from edgecolor.bench import run_coloring
 from edgecolor.coloring import (
     AlreadyColoredError,
     NoUncoloredEdgesError,
     PartialColoring,
     UNCOLORED,
+    format_coloring,
     validate_structures,
     verify_proper,
 )
-from edgecolor.generators import gen_erdos_renyi, gen_star, gen_star_plus_forests
+from edgecolor.generators import (
+    gen_erdos_renyi,
+    gen_preferential_attachment,
+    gen_star,
+    gen_star_plus_forests,
+)
 from edgecolor.graph import build_graph, edge_weight, graph_weight
 from edgecolor.sequential import (
     color_edges,
@@ -171,3 +179,29 @@ def test_mean_step_work_tracks_weight_over_first_half():
         sizes.append(step.fan_size + step.path_length)
     mean = sum(sizes) / len(sizes)
     assert mean <= 10 * (1 + 2 * w / g.m)
+
+
+# sha256 of the coloring dump per sequential colorer, on the benchmark's
+# hub graph and on a preferential-attachment graph.  Any change to the
+# fan, the path walk, the extension or the free-list order that alters
+# the output for a seed shows here.
+GOLDEN_SEQUENTIAL = {
+    "naive": (
+        "0ed0c3571bfcc85f2ca9024c69822e6351e5154e410a1ab20f63ab525d519b44",
+        "722763137ceccaebf338dbfe3553217fc7b306090cf13d60977c55f91e40409c",
+    ),
+    "color-edges": (
+        "e66a7eab760331ae8aca5d80c78c4a23290a2c09a3ce6815fec77d473242f57c",
+        "d032dbfd078410133668356ebd1a5a0e3d3a6a4a163ea545de71d8e6d169f465",
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_SEQUENTIAL))
+def test_sequential_golden_dump(algorithm):
+    graphs = (gen_star_plus_forests(2**11, 2, seed=1), gen_preferential_attachment(1000, 10, seed=4))
+    digests = tuple(
+        hashlib.sha256(format_coloring(run_coloring(g, algorithm, 42).chi).encode()).hexdigest()
+        for g in graphs
+    )
+    assert digests == GOLDEN_SEQUENTIAL[algorithm]
