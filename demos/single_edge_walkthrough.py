@@ -36,7 +36,7 @@ def main():
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
              (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
     g = build_graph(edges, 6)
-    chi = PartialColoring(g, g.max_degree + 1)
+    chi = PartialColoring(g)
     for e, c in [(1, 2), (2, 1), (3, 4), (4, 5), (5, 6), (6, 3), (7, 5), (9, 2)]:
         chi.assign(e, c)
     show(g, chi, "start")

@@ -23,7 +23,7 @@ from .sequential import StepTrace, color_edges, color_edges_deterministic
 
 SCHEMA_VERSION = 1
 
-ALGORITHMS = ("naive", "color-edges", "recursive", "recursive-size-prune-ablation")
+ALGORITHMS = ("naive", "color-edges", "recursive")
 
 
 @dataclass
@@ -41,26 +41,23 @@ def run_coloring(g: Graph, algorithm: str, seed: int, trace: bool = False) -> Ru
     """Dispatch one coloring run under a single timer.
 
     ``algorithm`` is one of ``naive`` (deterministic single-edge steps in
-    edge-id order), ``color-edges`` (randomized single-edge steps),
-    ``recursive`` (split / merge / prune / repair), or
-    ``recursive-size-prune-ablation`` (recursive with classes pruned by
-    size instead of weight).  The timed region covers coloring-state
-    setup and the coloring call for every algorithm.
+    edge-id order), ``color-edges`` (randomized single-edge steps) or
+    ``recursive`` (split / merge / prune / repair).  The timed region
+    covers coloring-state setup and the coloring call for every algorithm.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     steps = rec_trace = None
     t0 = time.perf_counter_ns()
     if algorithm == "naive":
-        chi = PartialColoring(g, g.max_degree + 1)
+        chi = PartialColoring(g)
         color_edges_deterministic(g, chi)
     elif algorithm == "color-edges":
-        chi = PartialColoring(g, g.max_degree + 1)
+        chi = PartialColoring(g)
         steps = color_edges(g, chi, Random(seed), trace=trace)
     else:
         rec_trace = RecursionTrace() if trace else None
-        prune_by = "weight" if algorithm == "recursive" else "size"
-        chi = recursive_color_edges(g, Random(seed), trace=rec_trace, prune_by=prune_by)
+        chi = recursive_color_edges(g, Random(seed), trace=rec_trace)
     wall = time.perf_counter_ns() - t0
     levels = collect_level_stats(rec_trace) if rec_trace is not None else None
     return RunResult(algorithm, chi, wall // 1000, level_stats=levels, step_traces=steps)

@@ -10,10 +10,9 @@ Exit codes, shared by all subcommands:
       produced output that failed its own re-verification (the latter is
       a bug sentinel and should never happen)
 * 2 - bad input: parse errors, infeasible generator parameters, I/O
-      failures
+      failures, an output path that is the input file
 
-The default seed is 0, overridable per invocation with ``--seed`` or
-globally with the ``EDGECOLOR_SEED`` environment variable.
+The seed is ``--seed``, 0 by default.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -30,21 +28,6 @@ from .bench import ALGORITHMS, build_report, run_coloring
 from .coloring import format_coloring, parse_coloring, verify_colors
 from .generators import FAMILIES, GenSpec, generate
 from .graph import read_edge_list, write_edge_list
-
-SEED_ENV = "EDGECOLOR_SEED"
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-
 
 def _open_input(path: Path) -> TextIO:
     """Open a text input as UTF-8, whatever the locale.
@@ -55,13 +38,16 @@ def _open_input(path: Path) -> TextIO:
     return path.open(encoding="utf-8", errors="surrogateescape")
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """True when both paths name one existing file, through links too."""
+    try:
+        return a.samefile(b)
+    except OSError:  # either is missing or unreadable, so not the same file
+        return False
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"RNG seed (default: ${SEED_ENV} or 0)",
-    )
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +107,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         cols=args.cols,
         star_leaves=args.star_leaves,
         forest_edges=args.forest_edges,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
     )
     text = write_edge_list(generate(spec))
     if args.out is None:
@@ -132,16 +118,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    dump_path = args.dump if args.dump is not None else args.input.with_suffix(".colors")
+    trace_path = Path(str(dump_path) + ".trace.jsonl")
+    for out in (dump_path, trace_path if args.trace else None, args.report):
+        if out is not None and _same_file(out, args.input):
+            raise ValueError(f"output path {out} would overwrite the input file")
     with _open_input(args.input) as fh:
         g = read_edge_list(fh)
-    seed = _resolve_seed(args.seed)
-    result = run_coloring(g, args.algo, seed, trace=args.trace)
-    report = build_report(g, result, seed, {"path": str(args.input)})
+    result = run_coloring(g, args.algo, args.seed, trace=args.trace)
+    report = build_report(g, result, args.seed, {"path": str(args.input)})
 
-    dump_path = args.dump if args.dump is not None else args.input.with_suffix(".colors")
     dump_path.write_text(format_coloring(result.chi))
     if result.step_traces is not None:
-        with Path(str(dump_path) + ".trace.jsonl").open("w") as fh:
+        with trace_path.open("w") as fh:
             for step in result.step_traces:
                 fh.write(json.dumps(dataclasses.asdict(step), sort_keys=True) + "\n")
 

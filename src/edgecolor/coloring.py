@@ -1,8 +1,7 @@
 """Mutable partial edge colorings with constant-time incremental updates.
 
-Colors are 1-based integers; 0 marks an uncolored edge.  A palette of
-size ``k`` admits colors ``1..k`` and must satisfy ``k >= max_degree + 1``
-so that every vertex always has a missing color.
+Colors are 1-based integers; 0 marks an uncolored edge.  The palette is
+``1..max_degree + 1``, so every vertex always has a missing color.
 
 A :class:`PartialColoring` maintains, alongside the per-edge color array:
 
@@ -10,8 +9,9 @@ A :class:`PartialColoring` maintains, alongside the per-edge color array:
   so color lookups and missing-color tests are O(1);
 * per vertex, the list of free colors among ``1..d(v)+1`` together with
   a position index, so a deterministic missing color is available in
-  O(1) even when the palette is huge (at most ``d(v)`` of those ``d(v)+1``
-  low colors can ever be occupied, so the list is never empty);
+  O(1) even where ``d(v)`` is far below the max degree (at most ``d(v)``
+  of those ``d(v)+1`` low colors can ever be occupied, so the list is
+  never empty);
 * the set of uncolored edges as a swap-removal array with an inverse
   index, so uniform sampling of an uncolored edge is O(1).
 
@@ -38,13 +38,6 @@ _REJECTION_CAP = 64
 
 class ColoringError(ValueError):
     """Invalid partial-coloring operation."""
-
-
-class PaletteTooSmallError(ColoringError):
-    def __init__(self, k: int, max_degree: int):
-        super().__init__(f"palette of {k} colors < max degree {max_degree} + 1")
-        self.k = k
-        self.max_degree = max_degree
 
 
 class ColorConflictError(ColoringError):
@@ -81,11 +74,9 @@ class PartialColoring:
 
     __slots__ = ("g", "k", "color", "occupied", "_free", "_free_pos", "uncolored", "_ind")
 
-    def __init__(self, g: Graph, k: int):
-        if k < g.max_degree + 1:
-            raise PaletteTooSmallError(k, g.max_degree)
+    def __init__(self, g: Graph):
         self.g = g
-        self.k = k
+        self.k = g.max_degree + 1
         self.color: list[int] = [UNCOLORED] * g.m
         self.occupied: list[dict[int, int]] = [{} for _ in range(g.n)]
         # Free colors within 1..d(v)+1 plus the position of each such

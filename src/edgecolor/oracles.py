@@ -142,20 +142,20 @@ def check_edge_membership_bounds(g: Graph, chi: PartialColoring) -> OracleReport
     return report
 
 
-def sample_partial_coloring(g: Graph, k: int, rng: Random) -> PartialColoring:
+def sample_partial_coloring(g: Graph, rng: Random) -> PartialColoring:
     """A random proper partial coloring, by greedy feasible assignment.
 
     Visits edges in random order up to a random target count and gives
     each a random mutually missing color, skipping edges with none.
     """
-    chi = PartialColoring(g, k)
+    chi = PartialColoring(g)
     order = list(range(g.m))
     rng.shuffle(order)
     target = rng.randrange(g.m + 1)
     for e in order[:target]:
         u, v = g.endpoints[e]
         occ_u, occ_v = chi.occupied[u], chi.occupied[v]
-        feasible = [c for c in range(1, k + 1) if c not in occ_u and c not in occ_v]
+        feasible = [c for c in range(1, chi.k + 1) if c not in occ_u and c not in occ_v]
         if feasible:
             chi.assign(e, feasible[rng.randrange(len(feasible))])
     return chi
@@ -196,9 +196,8 @@ def exhaustive_extend_suite(
         if g.m == 0:
             continue
         rng = Random((seed << 20) ^ mask)
-        k = g.max_degree + 1
         for round_no in range(colorings_per_graph):
-            base = sample_partial_coloring(g, k, rng)
+            base = sample_partial_coloring(g, rng)
             for e in list(base.uncolored):
                 for center in g.endpoints[e]:
                     chi = base.copy()

@@ -184,21 +184,18 @@ def merge_colorings(
     return colors, offset + chi_right.k
 
 
-def prune_min_weight_colors(
-    g: Graph, colors: list[int], k: int, target: int, by: str = "weight"
-) -> PartialColoring:
-    """Uncolor surplus color classes, keeping the ``target`` costliest.
+def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColoring:
+    """Uncolor surplus color classes, keeping the ``max_degree + 1`` heaviest.
 
     ``colors`` must be a total coloring of ``g`` on colors ``1..k`` with
-    ``k <= target + 3``.  The ``k - target`` classes minimizing total
-    edge weight (ties to the lower color index) are uncolored; surviving
-    classes are relabeled order-preservingly into ``1..target``.  With
-    ``k <= target`` no class is dropped.  The result is built by checked
-    assignment in edge-id order on a palette of exactly ``target``
-    colors; a conflict in the input raises :class:`ImproperInputError`.
-    ``by="size"`` prunes by class cardinality instead, as a benchmark
-    ablation.
+    ``k <= max_degree + 4``.  The ``k - max_degree - 1`` classes of least
+    total edge weight (ties to the lower color index) are uncolored;
+    surviving classes are relabeled order-preservingly into
+    ``1..max_degree + 1``.  With ``k <= max_degree + 1`` no class is
+    dropped.  The result is built by checked assignment in edge-id order;
+    a conflict in the input raises :class:`ImproperInputError`.
     """
+    target = g.max_degree + 1
     surplus = k - target
     if surplus > 3:
         raise ValueError(
@@ -207,15 +204,9 @@ def prune_min_weight_colors(
         )
     if colors and (min(colors) < 1 or max(colors) > k):
         raise ImproperInputError(f"prune requires a total coloring on colors 1..{k}")
-    if by not in ("weight", "size"):
-        raise ValueError(f"unknown prune key {by!r}")
     cost = [0] * (k + 1)
-    if by == "weight":
-        for e, c in enumerate(colors):
-            cost[c] += edge_weight(g, e)
-    else:
-        for c in colors:
-            cost[c] += 1
+    for e, c in enumerate(colors):
+        cost[c] += edge_weight(g, e)
     doomed = set(sorted(range(1, k + 1), key=lambda c: (cost[c], c))[: max(surplus, 0)])
     remap = [UNCOLORED] * (k + 1)
     nxt = 1
@@ -223,7 +214,7 @@ def prune_min_weight_colors(
         if c not in doomed:
             remap[c] = nxt
             nxt += 1
-    out = PartialColoring(g, target)
+    out = PartialColoring(g)
     try:
         for e, c in enumerate(colors):
             c = remap[c]
@@ -289,10 +280,7 @@ def recursion_threshold(root_n: int) -> float:
 
 
 def recursive_color_edges(
-    g: Graph,
-    rng: Random,
-    trace: RecursionTrace | None = None,
-    prune_by: str = "weight",
+    g: Graph, rng: Random, trace: RecursionTrace | None = None
 ) -> PartialColoring:
     """Color all edges with at most ``max_degree + 1`` colors recursively.
 
@@ -303,30 +291,29 @@ def recursive_color_edges(
     seed reproduces the run no matter how the children are scheduled.
     """
     vmap = list(range(g.n)) if trace is not None else None
-    return _recurse(g, rng, trace, prune_by, recursion_threshold(g.n), 0, vmap)
+    return _recurse(g, rng, trace, recursion_threshold(g.n), vmap, 0)
 
 
 # A node has one body: a base node is a node with nothing to merge, and
 # every node ends in exactly one color_edges call.  edgebench/spans.py
 # wraps _recurse, euler_partition, build_graph, merge_colorings,
 # prune_min_weight_colors and color_edges by their module-level names,
-# reads ``level`` as the sixth positional argument of _recurse, and tells
-# a base node from a repair by whether the coloring is still empty when
-# color_edges runs; so these names, that argument order and that one call
-# must stay.  ``vmap`` maps this node's vertices to root ids; it is kept
-# only when tracing.
+# reads ``level`` as the sixth positional argument of _recurse (its depth
+# counter; tests/test_bench_hooks.py pins it), and tells a base node from
+# a repair by whether the coloring is still empty when color_edges runs;
+# so these names, ``level``'s place and that one call must stay.  ``vmap``
+# maps this node's vertices to root ids; it is kept only when tracing.
 def _recurse(
     g: Graph,
     rng: Random,
     trace: RecursionTrace | None,
-    prune_by: str,
     threshold: float,
-    level: int,
     vmap: list[int] | None,
+    level: int,
 ) -> PartialColoring:
     merged = pruned_weight = None
     if g.max_degree <= threshold:
-        chi = PartialColoring(g, g.max_degree + 1)
+        chi = PartialColoring(g)
     else:
         split = euler_partition(g)
         seed_left = rng.getrandbits(64)
@@ -335,10 +322,10 @@ def _recurse(
         if trace is not None:
             lmap = [vmap[p] for p in split.left_vertices]
             rmap = [vmap[p] for p in split.right_vertices]
-        chi_left = _recurse(split.left, Random(seed_left), trace, prune_by, threshold, level + 1, lmap)
-        chi_right = _recurse(split.right, Random(seed_right), trace, prune_by, threshold, level + 1, rmap)
+        chi_left = _recurse(split.left, Random(seed_left), trace, threshold, lmap, level + 1)
+        chi_right = _recurse(split.right, Random(seed_right), trace, threshold, rmap, level + 1)
         colors, merged = merge_colorings(g, split, chi_left, chi_right)
-        chi = prune_min_weight_colors(g, colors, merged, g.max_degree + 1, by=prune_by)
+        chi = prune_min_weight_colors(g, colors, merged)
         if trace is not None:
             pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
     if trace is not None:

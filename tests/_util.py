@@ -29,7 +29,7 @@ def colored_graphs(draw, min_n: int = 1, max_n: int = 8) -> tuple[Graph, Partial
     """A graph plus a random proper partial coloring on max_degree + 1 colors."""
     g = draw(graphs(min_n=min_n, max_n=max_n))
     seed = draw(st.integers(0, 2**32 - 1))
-    chi = sample_partial_coloring(g, g.max_degree + 1, Random(seed))
+    chi = sample_partial_coloring(g, Random(seed))
     return g, chi
 
 
@@ -42,5 +42,5 @@ def random_graph(n: int, m: int, rng: Random) -> Graph:
     return build_graph(pairs[:m], n)
 
 
-def random_partial(g: Graph, k: int, rng: Random) -> PartialColoring:
-    return sample_partial_coloring(g, k, rng)
+def random_partial(g: Graph, rng: Random) -> PartialColoring:
+    return sample_partial_coloring(g, rng)

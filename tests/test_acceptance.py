@@ -118,7 +118,7 @@ def test_criterion_03_edge_membership_bounds_on_sampled_colorings():
         n = rng.randrange(2, 21)
         m_cap = n * (n - 1) // 2
         g = random_graph(n, rng.randrange(1, m_cap + 1), rng)
-        chi = sample_partial_coloring(g, g.max_degree + 1, rng)
+        chi = sample_partial_coloring(g, rng)
         report = check_edge_membership_bounds(g, chi)
         instances += 1
         violations.extend(report.violations)
@@ -267,7 +267,7 @@ def test_criterion_10_step_cost_on_fully_uncolored_graph():
     total = 0
     calls = 1000
     for i in range(calls):
-        chi = PartialColoring(g, g.max_degree + 1)
+        chi = PartialColoring(g)
         step = color_one_edge(g, chi, Random(i), trace=True)
         total += step.fan_size + step.path_length
     mean = total / calls

@@ -3,10 +3,10 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
-from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 import edgecolor
 from _util import graphs
 from edgecolor.bench import ALGORITHMS, build_report, run_coloring, summarize_steps
-from edgecolor.cli import SEED_ENV, main
+from edgecolor.cli import main
 from edgecolor.coloring import validate_structures, verify_colors, verify_proper
 from edgecolor.generators import gen_star_plus_forests
 from edgecolor.graph import build_graph
-from edgecolor.recursive import recursive_color_edges
 from edgecolor.sequential import StepTrace
 
 
@@ -63,13 +62,6 @@ def test_run_coloring_traces(small_graph):
 def test_run_coloring_rejects_bad_arguments(small_graph):
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_coloring(small_graph, "greedy", seed=0)
-
-
-def test_ablation_alias(small_graph):
-    a = run_coloring(small_graph, "recursive-size-prune-ablation", seed=2)
-    b = recursive_color_edges(small_graph, Random(2), prune_by="size")
-    assert a.algorithm == "recursive-size-prune-ablation"
-    assert a.chi.color == b.color
 
 
 def test_report_determinism_modulo_timing(small_graph):
@@ -171,16 +163,43 @@ def test_cli_color_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_seed_env(tmp_path, capsys, monkeypatch):
+def test_cli_seed_comes_from_the_flag_only(tmp_path, capsys, monkeypatch):
     graph_path = _generate(tmp_path)
-    monkeypatch.setenv(SEED_ENV, "123")
+    monkeypatch.setenv("EDGECOLOR_SEED", "123")
     assert main(["color", str(graph_path)]) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 123
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
     assert main(["color", str(graph_path), "--seed", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 4
-    monkeypatch.setenv(SEED_ENV, "pi")
-    assert main(["color", str(graph_path)]) == 2
-    assert SEED_ENV in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["color", str(graph_path), "--algo", "recursive-size-prune-ablation"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cli_color_refuses_to_overwrite_its_input(tmp_path, capsys):
+    graph_path = _generate(tmp_path)
+    text = graph_path.read_text()
+    colors_input = tmp_path / "g.colors"  # its default dump path is itself
+    trace_input = tmp_path / "t.colors.trace.jsonl"
+    for path in (colors_input, trace_input):
+        path.write_text(text)
+    link = tmp_path / "link.edges"
+    link.symlink_to(graph_path)
+    other = str(tmp_path / "d.colors")
+    for argv in (
+        [str(colors_input)],
+        [str(graph_path), "--dump", str(graph_path)],
+        [str(graph_path), "--dump", str(link)],
+        [str(graph_path), "--dump", other, "--report", str(graph_path)],
+        [str(trace_input), "--dump", str(tmp_path / "t.colors"), "--trace"],
+    ):
+        assert main(["color", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: output path \S+ would overwrite the input file\n",
+                            captured.err)
+        assert Path(argv[0]).read_text() == text
+    assert not list(tmp_path.glob("d.colors*"))
 
 
 def test_cli_color_report_and_dump_paths(tmp_path, capsys):

@@ -8,6 +8,7 @@ of them breaks the benchmark; this catches it without a benchmark run.
 
 import importlib.util
 from pathlib import Path
+from random import Random
 
 import edgecolor.bench
 import edgecolor.cli
@@ -16,6 +17,7 @@ import edgecolor.sequential
 from edgecolor.coloring import PartialColoring
 from edgecolor.generators import gen_star
 from edgecolor.graph import write_edge_list
+from edgecolor.recursive import RecursionTrace, recursive_color_edges
 
 SPANS = Path(__file__).resolve().parents[1] / "edgebench" / "spans.py"
 HOOKED = (
@@ -36,7 +38,8 @@ def _namespaces():
 
 def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
     graph_path = tmp_path / "star.edges"
-    graph_path.write_text(write_edge_list(gen_star(40)))  # max degree 39: splits
+    g = gen_star(40)  # max degree 39: splits
+    graph_path.write_text(write_edge_list(g))
     before = _namespaces()
     build_graph = edgecolor.recursive.build_graph
     tracer = _load_spans().Tracer(0)
@@ -62,3 +65,8 @@ def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
     # base or a repair, and every node that splits repairs.
     assert calls["recursive.base"] + calls["recursive.repair"] == calls["recursive.node"]
     assert calls["recursive.repair"] == calls["recursive.split"]
+    # The hooked depth is read from _recurse's sixth positional argument;
+    # it must be the deepest level of the same run.
+    trace = RecursionTrace()
+    recursive_color_edges(g, Random(1), trace=trace)
+    assert tracer.counts["depth"] == max(node.level for node in trace.nodes) == 3

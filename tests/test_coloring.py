@@ -14,7 +14,6 @@ from edgecolor.coloring import (
     ColorConflictError,
     ColoringError,
     NoUncoloredEdgesError,
-    PaletteTooSmallError,
     PartialColoring,
     format_coloring,
     parse_coloring,
@@ -29,7 +28,7 @@ SINGLE = build_graph([(0, 1)], 2)
 
 
 def test_new_empty_triangle():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     assert chi.uncolored_count == 3
     assert all(chi.color[e] == UNCOLORED for e in range(3))
     for v in range(3):
@@ -38,18 +37,13 @@ def test_new_empty_triangle():
 
 
 def test_new_empty_single_edge():
-    chi = PartialColoring(SINGLE, 2)
+    chi = PartialColoring(SINGLE)
     assert chi.uncolored_count == 1
     assert sorted(chi._free[0]) == [1, 2]  # clipped to d(v)+1 = 2
 
 
-def test_palette_too_small():
-    with pytest.raises(PaletteTooSmallError):
-        PartialColoring(TRIANGLE, 2)
-
-
 def test_assign_unassign_inverse():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     before_colors = chi.color[:]
     before_occ = [d.copy() for d in chi.occupied]
     chi.assign(0, 2)
@@ -64,7 +58,7 @@ def test_assign_unassign_inverse():
 
 
 def test_assign_conflict():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     chi.assign(0, 1)  # edge (0,1)
     with pytest.raises(ColorConflictError) as err:
         chi.assign(1, 1)  # edge (1,2) shares vertex 1
@@ -75,7 +69,7 @@ def test_assign_conflict():
 
 
 def test_assign_misuse():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     with pytest.raises(ColoringError):
         chi.assign(0, 4)  # outside palette
     with pytest.raises(ColoringError):
@@ -89,7 +83,7 @@ def test_assign_misuse():
 
 
 def test_assign_decrements_uncolored_by_one():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     for i, (e, c) in enumerate([(0, 1), (1, 2), (2, 3)]):
         chi.assign(e, c)
         assert chi.uncolored_count == 2 - i
@@ -97,7 +91,8 @@ def test_assign_decrements_uncolored_by_one():
 
 def test_some_missing_color():
     star = build_graph([(0, 1), (0, 2), (0, 3)], 4)
-    chi = PartialColoring(star, 5)
+    chi = PartialColoring(star)
+    assert chi.k == 4  # max_degree + 1
     assert chi.some_missing_color(0) in {1, 2, 3, 4}
     for e, c in [(0, 1), (1, 2), (2, 3)]:
         chi.assign(e, c)
@@ -108,7 +103,7 @@ def test_some_missing_color():
 
 def test_random_missing_color_singleton():
     path = build_graph([(0, 1), (1, 2)], 3)
-    chi = PartialColoring(path, 3)
+    chi = PartialColoring(path)
     chi.assign(0, 1)
     chi.assign(1, 2)
     rng = Random(0)
@@ -118,7 +113,7 @@ def test_random_missing_color_singleton():
 def test_random_missing_color_frequencies_dense_branch():
     # d(1) = 2 > k/2, so the missing set is materialized
     path = build_graph([(0, 1), (1, 2)], 3)
-    chi = PartialColoring(path, 3)
+    chi = PartialColoring(path)
     chi.assign(0, 3)
     rng = Random(1)
     counts = {1: 0, 2: 0}
@@ -130,7 +125,7 @@ def test_random_missing_color_frequencies_dense_branch():
 
 def test_random_missing_color_frequencies_rejection_branch():
     # d(u) = 1 <= k/2 = 1, so rejection sampling runs
-    chi = PartialColoring(SINGLE, 2)
+    chi = PartialColoring(SINGLE)
     rng = Random(2)
     counts = {1: 0, 2: 0}
     for _ in range(10000):
@@ -151,18 +146,18 @@ class _StubbornRng:
 
 
 def test_random_missing_color_rejection_cap_falls_back():
-    star = build_graph([(0, 1), (0, 2)], 3)
-    chi = PartialColoring(star, 5)  # d(0)=2, 2d <= k: rejection branch
+    star = build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], 5)
+    chi = PartialColoring(star)  # leaf 1: d=1, k=5, 2d <= k: rejection branch
     chi.assign(0, 1)
     rng = _StubbornRng()
     # every rejection draw proposes 1 (occupied); after the cap the pool
     # fallback returns the first missing color
-    assert chi.random_missing_color(0, rng) == 2
+    assert chi.random_missing_color(1, rng) == 2
     assert rng.draws == 65  # 64 rejections + 1 pool index
 
 
 def test_random_uncolored_edge():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     rng = Random(3)
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(30000):
@@ -178,7 +173,7 @@ def test_random_uncolored_edge():
 
 
 def test_verify_colors_reports():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     rep = verify_proper(TRIANGLE, chi)
     assert rep.proper and rep.colors_used == 0 and rep.uncolored == 3
 
@@ -198,7 +193,7 @@ def test_verify_colors_reports():
 
 
 def test_validate_structures_detects_drift():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     chi.assign(0, 1)
     assert validate_structures(chi) == []
     chi.color[0] = 2  # corrupt behind the structures' back
@@ -206,7 +201,7 @@ def test_validate_structures_detects_drift():
 
 
 def test_swap_colors_along_single_edge_path():
-    chi = PartialColoring(SINGLE, 2)
+    chi = PartialColoring(SINGLE)
     chi.assign(0, 2)
     chi.swap_colors_along_path([0, 1], [0], c0=1, c1=2)
     assert chi.color[0] == 1
@@ -218,7 +213,7 @@ def test_swap_colors_along_single_edge_path():
 
 def test_swap_colors_along_longer_path():
     p4 = build_graph([(0, 1), (1, 2), (2, 3)], 4)
-    chi = PartialColoring(p4, 3)
+    chi = PartialColoring(p4)
     for e, c in [(0, 1), (1, 2), (2, 1)]:
         chi.assign(e, c)
     chi.swap_colors_along_path([0, 1, 2, 3], [0, 1, 2], c0=2, c1=1)
@@ -228,7 +223,7 @@ def test_swap_colors_along_longer_path():
 
 
 def test_copy_is_independent():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     chi.assign(0, 1)
     dup = chi.copy()
     dup.assign(1, 2)
@@ -241,8 +236,8 @@ def test_copy_is_independent():
 @settings(max_examples=60)
 def test_structures_survive_random_operations(g, seed):
     rng = Random(seed)
-    k = g.max_degree + 1
-    chi = PartialColoring(g, k)
+    chi = PartialColoring(g)
+    k = chi.k
     for _ in range(3 * g.m):
         if chi.uncolored and (not rng.random() < 0.4 or chi.uncolored_count == g.m):
             e = chi.random_uncolored_edge(rng)
@@ -263,13 +258,13 @@ def test_structures_survive_random_operations(g, seed):
 @given(graphs(min_n=1), st.integers(0, 2**32 - 1))
 @settings(max_examples=40)
 def test_sampled_colorings_valid(g, seed):
-    chi = random_partial(g, g.max_degree + 1, Random(seed))
+    chi = random_partial(g, Random(seed))
     assert verify_proper(g, chi).proper
     assert validate_structures(chi) == []
 
 
 def test_dump_round_trip():
-    chi = PartialColoring(TRIANGLE, 3)
+    chi = PartialColoring(TRIANGLE)
     chi.assign(1, 3)
     text = format_coloring(chi)
     assert text == "0 0\n1 3\n2 0\n"

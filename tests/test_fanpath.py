@@ -28,7 +28,7 @@ P3 = build_graph([(0, 1), (1, 2)], 3)
 
 def test_make_primed_fan_single_edge():
     g = build_graph([(0, 1)], 2)
-    chi = PartialColoring(g, 2)
+    chi = PartialColoring(g)
     fan = make_primed_fan(g, chi, 0, center=0)
     assert fan.leaves == [1]
     assert fan.primed_index is None  # primed at the center
@@ -39,7 +39,7 @@ def test_make_primed_fan_single_edge():
 def test_make_primed_fan_walks_the_star():
     # (0,1) uncolored; (0,2)=1 and (0,3)=2 force the fan through both
     # leaves until the primed color re-enters the fan.
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     chi.assign(2, 2)
     fan = make_primed_fan(STAR4, chi, 0, center=0)
@@ -51,7 +51,7 @@ def test_make_primed_fan_walks_the_star():
 
 
 def test_make_primed_fan_requires_uncolored_edge():
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(0, 1)
     with pytest.raises(InvalidFanError):
         make_primed_fan(STAR4, chi, 0, center=0)
@@ -69,7 +69,7 @@ def test_every_fan_passes_independent_checker(pair):
 
 
 def test_fan_determinism():
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     f1 = make_primed_fan(STAR4, chi, 0, 0)
     f2 = make_primed_fan(STAR4, chi, 0, 0)
@@ -81,7 +81,7 @@ def test_fan_determinism():
 
 
 def test_shift_fan_noop_and_single_rotation():
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     fan = make_primed_fan(STAR4, chi, 0, 0)
     m_before = set(chi.missing_colors(0))
@@ -117,7 +117,7 @@ def test_shift_fan_preserves_properness_and_center_missing_set(pair, seed):
 def test_shift_fan_rejects_invalidated_fan():
     # fan checks are against the live coloring, so invalidate it live:
     # first by coloring the fan's uncolored edge...
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     fan = make_primed_fan(STAR4, chi, 0, 0)
     chi.assign(0, 4)
@@ -126,7 +126,7 @@ def test_shift_fan_rejects_invalidated_fan():
 
     # ...then by making a fan color present at the previous leaf
     g = build_graph([(0, 1), (0, 2), (0, 3), (1, 3)], 4)
-    chi = PartialColoring(g, 4)
+    chi = PartialColoring(g)
     chi.assign(1, 1)  # (0,2) = 1
     fan = make_primed_fan(g, chi, 0, 0)
     assert fan.leaves[:2] == [1, 2] and chi.color[fan.edge_ids[1]] == 1
@@ -136,14 +136,14 @@ def test_shift_fan_rejects_invalidated_fan():
 
 
 def test_maximal_path_empty_when_second_color_missing():
-    chi = PartialColoring(P3, 3)
+    chi = PartialColoring(P3)
     p = maximal_alternating_path(P3, chi, 0, c0=1, c1=2)
     assert p.length == 0 and p.vertices == [0]
     assert p.internal_count == 0
 
 
 def test_maximal_path_forced_walk():
-    chi = PartialColoring(P3, 3)
+    chi = PartialColoring(P3)
     chi.assign(0, 1)
     chi.assign(1, 2)
     # on colors (2, 1) the walk is forced across both edges
@@ -157,7 +157,7 @@ def test_maximal_path_forced_walk():
 
 
 def test_maximal_path_preconditions():
-    chi = PartialColoring(P3, 3)
+    chi = PartialColoring(P3)
     chi.assign(0, 1)
     with pytest.raises(ValueError):
         maximal_alternating_path(P3, chi, 0, c0=1, c1=1)
@@ -212,7 +212,7 @@ def test_maximal_path_is_maximal_and_unique(pair, seed):
 
 
 def test_flip_empty_path():
-    chi = PartialColoring(P3, 3)
+    chi = PartialColoring(P3)
     flip_path(chi, AlternatingPath([0], [], 1, 2))  # both missing: fine
     chi.assign(0, 1)
     with pytest.raises(NotMaximalError):
@@ -220,7 +220,7 @@ def test_flip_empty_path():
 
 
 def test_flip_two_edge_path():
-    chi = PartialColoring(P3, 3)
+    chi = PartialColoring(P3)
     chi.assign(0, 1)
     chi.assign(1, 2)
     p = maximal_alternating_path(P3, chi, 0, c0=2, c1=1)
@@ -233,7 +233,7 @@ def test_flip_two_edge_path():
 
 def test_flip_rejects_non_maximal():
     p4 = build_graph([(0, 1), (1, 2), (2, 3)], 4)
-    chi = PartialColoring(p4, 3)
+    chi = PartialColoring(p4)
     for e, c in [(0, 1), (1, 2), (2, 1)]:
         chi.assign(e, c)
     truncated = AlternatingPath([0, 1, 2], [0, 1], c0=2, c1=1)
@@ -264,7 +264,7 @@ def test_flip_is_involution(pair, seed):
 
 def test_extend_single_edge_case_one():
     g = build_graph([(0, 1)], 2)
-    chi = PartialColoring(g, 2)
+    chi = PartialColoring(g)
     fan = make_primed_fan(g, chi, 0, 0)
     extend_coloring(g, chi, fan, AlternatingPath([0], [], 2, fan.primed_color))
     assert chi.color[0] == fan.primed_color
@@ -274,7 +274,7 @@ def test_extend_single_edge_case_one():
 def test_extend_star_shift_case():
     # (0,1) uncolored, (0,2)=1; fan walks to leaf 2 and primes at the
     # center, so the whole fan shifts before coloring.
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     fan = make_primed_fan(STAR4, chi, 0, 0)
     assert fan.primed_index is None
@@ -313,7 +313,7 @@ def test_extend_pipeline_colors_one_more_edge(pair, seed):
 
 
 def test_extend_rejects_missing_path():
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     chi.assign(2, 2)
     fan = make_primed_fan(STAR4, chi, 0, 0)
@@ -324,7 +324,7 @@ def test_extend_rejects_missing_path():
 
 def test_extend_rejects_fan_whose_primed_index_misses_the_primed_color():
     # primed at leaf 0: color 1 sits on fan edge 1 and at the center
-    chi = PartialColoring(STAR4, 4)
+    chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     chi.assign(2, 2)
     fan = make_primed_fan(STAR4, chi, 0, 0)
@@ -340,7 +340,7 @@ def test_internal_count_matches_definition_on_enumerated_paths():
     rng = Random(7)
     for _ in range(30):
         g = random_graph(8, rng.randrange(0, 20), rng)
-        chi = random_partial(g, g.max_degree + 1, rng)
+        chi = random_partial(g, rng)
         for p in enumerate_maximal_paths(g, chi):
             ends = {p.vertices[0], p.vertices[-1]}
             by_definition = sum(
@@ -354,13 +354,13 @@ def test_internal_count_matches_definition_on_enumerated_paths():
 
 def test_count_internal_memberships_examples():
     p4 = build_graph([(0, 1), (1, 2), (2, 3)], 4)
-    chi = PartialColoring(p4, 3)
+    chi = PartialColoring(p4)
     for e, c in [(0, 1), (1, 2), (2, 1)]:
         chi.assign(e, c)
     assert count_internal_memberships(p4, chi, 0) == 0  # leaf endpoint
     assert count_internal_memberships(p4, chi, 1) == 1  # the (1,2)-path
     with pytest.raises(ValueError):
-        chi2 = PartialColoring(p4, 3)
+        chi2 = PartialColoring(p4)
         count_internal_memberships(p4, chi2, 0)  # uncolored edge
 
 
@@ -368,7 +368,7 @@ def test_count_internal_memberships_matches_enumeration():
     rng = Random(11)
     for _ in range(25):
         g = random_graph(7, rng.randrange(0, 15), rng)
-        chi = random_partial(g, g.max_degree + 1, rng)
+        chi = random_partial(g, rng)
         tallies = {e: 0 for e in range(g.m)}
         for p in enumerate_maximal_paths(g, chi):
             for e in p.edge_ids[1:-1]:

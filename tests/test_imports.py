@@ -1,4 +1,6 @@
-"""The runtime imports the standard library only, and starts no processes."""
+"""The runtime imports the standard library only, starts no processes and
+reads no environment variables.
+"""
 
 import ast
 import sys
@@ -8,6 +10,7 @@ import edgecolor
 
 PACKAGE = Path(edgecolor.__file__).resolve().parent
 NO_PROCESSES = {"concurrent", "multiprocessing", "subprocess"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -28,3 +31,20 @@ def test_runtime_imports_only_the_standard_library_and_no_process_modules():
         for name in _absolute_imports(path):
             assert name in sys.stdlib_module_names, f"{path.name} imports {name}"
             assert name not in NO_PROCESSES, f"{path.name} imports {name}"
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    """``os.environ`` or ``os.getenv``, also as a name imported from ``os``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ENVIRONMENT
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in ENVIRONMENT for alias in node.names)
+    return False
+
+
+def test_runtime_reads_no_environment_variables():
+    # Every setting is a command-line flag; nothing reads os.environ.
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found = [node.lineno for node in ast.walk(tree) if _reads_environment(node)]
+        assert not found, f"{path.name} reads the environment on lines {found}"

@@ -21,7 +21,7 @@ from edgecolor.sequential import color_edges
 
 def test_enumerate_single_colored_edge():
     g = build_graph([(0, 1)], 2)
-    chi = PartialColoring(g, 2)
+    chi = PartialColoring(g)
     chi.assign(0, 1)
     (path,) = enumerate_maximal_paths(g, chi)
     assert path.vertices == [0, 1]
@@ -31,13 +31,13 @@ def test_enumerate_single_colored_edge():
 
 def test_enumerate_empty_coloring():
     g = build_graph([(0, 1), (1, 2)], 3)
-    chi = PartialColoring(g, 3)
+    chi = PartialColoring(g)
     assert enumerate_maximal_paths(g, chi) == []
 
 
 def _p4_fixture():
     g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
-    chi = PartialColoring(g, 3)
+    chi = PartialColoring(g)
     for e, c in enumerate((1, 2, 1)):
         chi.assign(e, c)
     return g, chi
@@ -57,7 +57,7 @@ def test_enumerate_p4_all_pairs():
 
 def test_enumerate_excludes_cycles():
     g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
-    chi = PartialColoring(g, 3)
+    chi = PartialColoring(g)
     for e, c in enumerate((1, 2, 1, 2)):
         chi.assign(e, c)
     # the (1, 2) subgraph is one cycle: no terminals, no paths
@@ -66,7 +66,7 @@ def test_enumerate_excludes_cycles():
 
 def test_enumerate_reports_each_component_once():
     g = build_graph([(0, 1), (1, 2)], 3)
-    chi = PartialColoring(g, 3)
+    chi = PartialColoring(g)
     chi.assign(0, 1)
     chi.assign(1, 2)
     pair_paths = [p for p in enumerate_maximal_paths(g, chi) if (p.c0, p.c1) == (1, 2)]
@@ -78,7 +78,7 @@ def test_enumerate_agrees_with_walker():
     rng = Random(42)
     for _ in range(20):
         g = random_graph(12, rng.randrange(4, 20), rng)
-        chi = random_partial(g, g.max_degree + 1, rng)
+        chi = random_partial(g, rng)
         for p in enumerate_maximal_paths(g, chi):
             start = p.vertices[0]
             first = chi.color[p.edge_ids[0]]
@@ -100,7 +100,7 @@ def test_membership_bounds_on_fixtures():
     assert report.ok and report.instances == 1
 
     k4 = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4)
-    chi4 = PartialColoring(k4, 4)
+    chi4 = PartialColoring(k4)
     color_edges(k4, chi4, Random(0))
     assert check_edge_membership_bounds(k4, chi4).ok
 
@@ -109,7 +109,7 @@ def test_membership_bounds_on_random_colorings():
     rng = Random(99)
     for _ in range(20):
         g = random_graph(12, rng.randrange(0, 25), rng)
-        chi = random_partial(g, g.max_degree + 1, rng)
+        chi = random_partial(g, rng)
         report = check_edge_membership_bounds(g, chi)
         assert report.ok, report.violations[:3]
 
@@ -124,7 +124,7 @@ def test_sample_partial_coloring_is_proper():
     rng = Random(7)
     for _ in range(30):
         g = random_graph(10, rng.randrange(0, 20), rng)
-        chi = sample_partial_coloring(g, g.max_degree + 1, rng)
+        chi = sample_partial_coloring(g, rng)
         assert verify_proper(g, chi).proper
         assert all(c <= chi.k for c in chi.color)
 
@@ -137,7 +137,7 @@ def test_exhaustive_suite_tiny():
 
 def test_check_fan_flags_tampering():
     g = build_graph([(0, 1), (0, 2), (0, 3)], 4)
-    chi = PartialColoring(g, 4)
+    chi = PartialColoring(g)
     chi.assign(1, 1)
     chi.assign(2, 2)
     fan = make_primed_fan(g, chi, 0, 0)

@@ -95,9 +95,9 @@ def test_merge_on_path_split():
     g = build_graph([(0, 1), (1, 2)], 3)
     split = euler_partition(g)
     assert split.left.m == split.right.m == 1
-    chi_left = PartialColoring(split.left, 2)
+    chi_left = PartialColoring(split.left)
     chi_left.assign(0, 1)
-    chi_right = PartialColoring(split.right, 2)
+    chi_right = PartialColoring(split.right)
     chi_right.assign(0, 1)
     colors, k = merge_colorings(g, split, chi_left, chi_right)
     assert k == 4  # disjoint palettes, right offset by k_left
@@ -108,8 +108,8 @@ def test_merge_on_path_split():
 def test_merge_rejects_partial_input():
     g = build_graph([(0, 1), (1, 2)], 3)
     split = euler_partition(g)
-    chi_left = PartialColoring(split.left, 2)  # left edge left uncolored
-    chi_right = PartialColoring(split.right, 2)
+    chi_left = PartialColoring(split.left)  # left edge left uncolored
+    chi_right = PartialColoring(split.right)
     chi_right.assign(0, 1)
     with pytest.raises(ImproperInputError):
         merge_colorings(g, split, chi_left, chi_right)
@@ -122,7 +122,7 @@ def test_merged_palette_bounds(seed):
     split = euler_partition(g)
     sides = []
     for child in (split.left, split.right):
-        chi = PartialColoring(child, child.max_degree + 1)
+        chi = PartialColoring(child)
         color_edges(child, chi, rng)
         sides.append(chi)
     colors, k = merge_colorings(g, split, *sides)
@@ -135,23 +135,18 @@ def test_merged_palette_bounds(seed):
 
 
 def test_prune_weight_example():
-    # 30 disjoint edges, unit weights, class weights [10, 2, 7, 2, 9]:
-    # dropping to 3 classes removes the two lightest (colors 2 and 4)
-    # and relabels the survivors 1 -> 1, 3 -> 2, 5 -> 3.
-    g = build_graph([(2 * i, 2 * i + 1) for i in range(30)], 60)
-    chi = PartialColoring(g, 5)
-    class_of = {}
-    e = 0
-    for color, size in enumerate((10, 2, 7, 2, 9), start=1):
-        for _ in range(size):
-            chi.assign(e, color)
-            class_of[e] = color
-            e += 1
-    out = prune_min_weight_colors(g, chi.color, chi.k, 3)
+    # 15 disjoint 3-vertex paths: max degree 2, so 3 classes survive, and
+    # every edge has weight 1.  Class weights [10, 2, 7, 2, 9]: pruning
+    # removes the two lightest (colors 2 and 4) and relabels the
+    # survivors 1 -> 1, 3 -> 2, 5 -> 3.  Edge i and edge 15 + i share the
+    # middle vertex of path i.
+    g = build_graph([(3 * i, 3 * i + 1) for i in range(15)]
+                    + [(3 * i + 1, 3 * i + 2) for i in range(15)], 45)
+    colors = [1] * 10 + [2] * 2 + [3] * 7 + [4] * 2 + [5] * 9
+    out = prune_min_weight_colors(g, colors, 5)
     assert out.k == 3
     remap = {1: 1, 3: 2, 5: 3}
-    for e in range(g.m):
-        old = class_of[e]
+    for e, old in enumerate(colors):
         if old in (2, 4):
             assert out.color[e] == 0
         else:
@@ -159,68 +154,52 @@ def test_prune_weight_example():
     assert sorted(out.uncolored) == [10, 11, 19, 20]
 
 
-def _ablation_fixture():
-    # K4 (edge weight 3 each) plus two isolated edges (weight 1 each).
-    # Class weights: 1 -> 6, 2 -> 6, 3 -> 3, 4 -> 3, 5 -> 2.
-    # Class sizes:   1 -> 2, 2 -> 2, 3 -> 1, 4 -> 1, 5 -> 2.
+def _k4_fixture():
+    # K4 (edge weight 3 each) plus two isolated edges (weight 1 each): max
+    # degree 3, so 4 classes survive.  Class weights: 1 -> 6, 2 -> 6,
+    # 3 -> 3, 4 -> 3, 5 -> 2; class 5 is the lightest.
     edges = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2), (4, 5), (6, 7)]
-    g = build_graph(edges, 8)
-    chi = PartialColoring(g, 5)
-    for e, c in enumerate((1, 1, 2, 2, 3, 4, 5, 5)):
-        chi.assign(e, c)
-    return g, chi
+    return build_graph(edges, 8), [1, 1, 2, 2, 3, 4, 5, 5]
 
 
-def test_prune_by_weight_and_by_size_differ():
-    g, chi = _ablation_fixture()
-    by_weight = prune_min_weight_colors(g, chi.color, chi.k, 4, by="weight")
-    assert sorted(by_weight.uncolored) == [6, 7]  # lightest class is 5
-    assert by_weight.color[:6] == [1, 1, 2, 2, 3, 4]
-    by_size = prune_min_weight_colors(g, chi.color, chi.k, 4, by="size")
-    assert by_size.uncolored == [4]  # smallest class, tie to color 3
-    assert by_size.color == [1, 1, 2, 2, 0, 3, 4, 4]
-    # the ablation uncolors less weight-wise desirable edges here
-    dropped_w = sum(edge_weight(g, e) for e in by_weight.uncolored)
-    dropped_s = sum(edge_weight(g, e) for e in by_size.uncolored)
-    assert dropped_w < dropped_s
+def test_prune_drops_the_lightest_class():
+    g, colors = _k4_fixture()
+    out = prune_min_weight_colors(g, colors, 5)
+    assert out.k == 4
+    assert sorted(out.uncolored) == [6, 7]
+    assert out.color[:6] == [1, 1, 2, 2, 3, 4]
 
 
 def test_prune_identity_when_palette_fits():
-    g, chi = _ablation_fixture()
-    for target in (5, 9):
-        out = prune_min_weight_colors(g, chi.color, chi.k, target)
-        assert out.k == target
-        assert out.color == chi.color
+    g, _ = _k4_fixture()
+    for colors, k in (([1, 1, 2, 2, 3, 3, 4, 4], 4), ([1, 1, 2, 2, 3, 3, 1, 1], 3)):
+        out = prune_min_weight_colors(g, colors, k)
+        assert out.k == g.max_degree + 1
+        assert out.color == colors
         assert out.uncolored_count == 0
 
 
 def test_prune_rejects_large_surplus():
-    g, chi = _ablation_fixture()
+    g, colors = _k4_fixture()
     with pytest.raises(ValueError, match="exceeds target"):
-        prune_min_weight_colors(g, chi.color, chi.k, 1)
+        prune_min_weight_colors(g, colors, 8)
 
 
 def test_prune_rejects_partial_coloring():
-    g, chi = _ablation_fixture()
-    chi.unassign(0)
+    g, colors = _k4_fixture()
+    colors[0] = 0
     with pytest.raises(ImproperInputError):
-        prune_min_weight_colors(g, chi.color, chi.k, 4)
+        prune_min_weight_colors(g, colors, 5)
 
 
 def test_prune_rejects_improper_coloring():
-    g, chi = _ablation_fixture()
-    clash = chi.color[:]
+    g, colors = _k4_fixture()
+    clash = colors[:]
     clash[2] = 1  # edges 0 and 2 meet at vertex 0
     with pytest.raises(ImproperInputError, match="improper"):
-        prune_min_weight_colors(g, clash, chi.k, 4)
+        prune_min_weight_colors(g, clash, 5)
     with pytest.raises(ImproperInputError):
-        prune_min_weight_colors(g, chi.color, chi.k - 1, 4)  # color 5 > k
-
-
-def test_prune_rejects_unknown_key():
-    g, chi = _ablation_fixture()
-    with pytest.raises(ValueError, match="prune key"):
-        prune_min_weight_colors(g, chi.color, chi.k, 4, by="hue")
+        prune_min_weight_colors(g, colors, 4)  # color 5 > k
 
 
 def test_recursion_threshold_values():
@@ -305,9 +284,9 @@ def test_one_coloring_per_recursion_node(monkeypatch):
     builds = []
     init = PartialColoring.__init__
 
-    def counting_init(self, g, k):
+    def counting_init(self, g):
         builds.append(g.m)
-        init(self, g, k)
+        init(self, g)
 
     monkeypatch.setattr(PartialColoring, "__init__", counting_init)
     g = gen_star_plus_forests(1024, 2, seed=1)
@@ -317,21 +296,21 @@ def test_one_coloring_per_recursion_node(monkeypatch):
     assert len(builds) == len(trace.nodes)
 
 
-# sha256 of the coloring dump for each prune key.  Any change to split,
-# merge, prune or repair that alters the output for a seed shows here;
-# repair runs on this graph (pruned weight 86 and 94 in total).
+# sha256 of the coloring dump, keyed by the class cost that prune ranks
+# by.  Any change to split, merge, prune or repair that alters the output
+# for a seed shows here; repair runs on this graph (pruned weight 86 in
+# total).
 GOLDEN_DUMPS = {
     "weight": "6ac470e64ebb55956231cd2715af529afdf60707a3cc506601232ccbdb8b4578",
-    "size": "fe1fdb04bd99dfe7f4fbb61219b7cc7f3443da1a352b027f91bec2db1d4837a8",
 }
 
 
-@pytest.mark.parametrize("prune_by", sorted(GOLDEN_DUMPS))
-def test_recursive_golden_dump(prune_by):
+@pytest.mark.parametrize("prune_key", sorted(GOLDEN_DUMPS))
+def test_recursive_golden_dump(prune_key):
     g = gen_preferential_attachment(1000, 10, seed=4)
-    chi = recursive_color_edges(g, Random(42), prune_by=prune_by)
+    chi = recursive_color_edges(g, Random(42))
     digest = hashlib.sha256(format_coloring(chi).encode()).hexdigest()
-    assert digest == GOLDEN_DUMPS[prune_by]
+    assert digest == GOLDEN_DUMPS[prune_key]
 
 
 # sha256 of each split's four id lists, on every generator family at sizes
@@ -370,14 +349,6 @@ def test_euler_split_golden():
         got[make.__name__, args] = hashlib.sha256(repr(ids).encode()).hexdigest()
         want[make.__name__, args] = digest
     assert got == want
-
-
-def test_prune_by_size_end_to_end():
-    g = gen_preferential_attachment(1200, 6, seed=9)
-    chi = recursive_color_edges(g, Random(4), prune_by="size")
-    rep = verify_proper(g, chi)
-    assert rep.proper and rep.uncolored == 0
-    assert rep.max_color <= g.max_degree + 1
 
 
 def test_level_stats_on_clean_runs():

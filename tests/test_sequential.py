@@ -35,7 +35,7 @@ from edgecolor.sequential import (
 
 def test_color_one_edge_single_edge_graph():
     g = build_graph([(0, 1)], 2)
-    chi = PartialColoring(g, 2)
+    chi = PartialColoring(g)
     step = color_one_edge(g, chi, Random(0), trace=True)
     assert (step.fan_size, step.path_length) == (1, 0)
     assert step.edge == 0 and step.center in (0, 1)
@@ -45,7 +45,7 @@ def test_color_one_edge_single_edge_graph():
 
 def test_color_one_edge_requires_uncolored():
     g = build_graph([(0, 1)], 2)
-    chi = PartialColoring(g, 2)
+    chi = PartialColoring(g)
     chi.assign(0, 1)
     with pytest.raises(NoUncoloredEdgesError):
         color_one_edge(g, chi, Random(0))
@@ -54,7 +54,7 @@ def test_color_one_edge_requires_uncolored():
 def test_color_one_edge_decrements_and_traces_center_degree():
     rng = Random(5)
     g = random_graph(12, 25, rng)
-    chi = PartialColoring(g, g.max_degree + 1)
+    chi = PartialColoring(g)
     seen = chi.uncolored_count
     while chi.uncolored:
         step = color_one_edge(g, chi, rng, trace=True)
@@ -70,21 +70,21 @@ def test_color_one_edge_decrements_and_traces_center_degree():
 
 def test_center_tie_breaks_to_lower_id():
     g = build_graph([(1, 0)], 2)  # equal degrees
-    chi = PartialColoring(g, 2)
+    chi = PartialColoring(g)
     step = color_one_edge(g, chi, Random(9), trace=True)
     assert step.center == 0
 
 
 def test_color_edges_empty_graph():
     g = build_graph([], 4)
-    chi = PartialColoring(g, 1)
+    chi = PartialColoring(g)
     assert color_edges(g, chi, Random(0)) is None
     assert chi.uncolored_count == 0
 
 
 def test_color_edges_star():
     g = gen_star(101)
-    chi = PartialColoring(g, 101)
+    chi = PartialColoring(g)
     color_edges(g, chi, Random(1))
     rep = verify_proper(g, chi)
     assert rep.proper and rep.uncolored == 0
@@ -93,7 +93,7 @@ def test_color_edges_star():
 
 def test_color_edges_er_fixture():
     g = gen_erdos_renyi(200, 1000, seed=4)
-    chi = PartialColoring(g, g.max_degree + 1)
+    chi = PartialColoring(g)
     steps = color_edges(g, chi, Random(7), trace=True)
     assert len(steps) == g.m
     rep = verify_proper(g, chi)
@@ -104,7 +104,7 @@ def test_color_edges_er_fixture():
 
 def test_color_edges_trace_toggle():
     g = gen_star(10)
-    chi = PartialColoring(g, 10)
+    chi = PartialColoring(g)
     assert color_edges(g, chi, Random(2)) is None
 
 
@@ -112,7 +112,7 @@ def test_color_edges_determinism():
     g = gen_erdos_renyi(60, 150, seed=8)
     runs = []
     for _ in range(2):
-        chi = PartialColoring(g, g.max_degree + 1)
+        chi = PartialColoring(g)
         steps = color_edges(g, chi, Random(33), trace=True)
         runs.append((chi.color[:], [(s.edge, s.center, s.missing_color) for s in steps]))
     assert runs[0] == runs[1]
@@ -122,7 +122,7 @@ def test_color_edges_from_partial_state():
     # repair-style use: start from a partial coloring, finish it
     rng = Random(13)
     g = random_graph(15, 40, rng)
-    chi = random_partial(g, g.max_degree + 1, rng)
+    chi = random_partial(g, rng)
     color_edges(g, chi, rng)
     rep = verify_proper(g, chi)
     assert rep.proper and rep.uncolored == 0
@@ -130,7 +130,7 @@ def test_color_edges_from_partial_state():
 
 def test_deterministic_single_edge():
     g = build_graph([(0, 1)], 2)
-    chi = PartialColoring(g, 2)
+    chi = PartialColoring(g)
     color_one_edge_deterministic(g, chi, 0)
     assert chi.color[0] == 1  # head of the free list
     with pytest.raises(AlreadyColoredError):
@@ -140,7 +140,7 @@ def test_deterministic_single_edge():
 @given(graphs(min_n=1, max_n=6), st.integers(0, 2**32 - 1))
 @settings(max_examples=150)
 def test_deterministic_step_on_sampled_colorings(g, seed):
-    chi = random_partial(g, g.max_degree + 1, Random(seed))
+    chi = random_partial(g, Random(seed))
     if not chi.uncolored:
         return
     e = chi.uncolored[0]
@@ -154,13 +154,13 @@ def test_deterministic_step_on_sampled_colorings(g, seed):
 
 def test_deterministic_full_pass():
     g = gen_erdos_renyi(120, 500, seed=10)
-    chi = PartialColoring(g, g.max_degree + 1)
+    chi = PartialColoring(g)
     color_edges_deterministic(g, chi)
     rep = verify_proper(g, chi)
     assert rep.proper and rep.uncolored == 0
     assert rep.max_color <= g.max_degree + 1
     # rerun is identical: no randomness anywhere
-    chi2 = PartialColoring(g, g.max_degree + 1)
+    chi2 = PartialColoring(g)
     color_edges_deterministic(g, chi2)
     assert chi2.color == chi.color
 
@@ -171,7 +171,7 @@ def test_mean_step_work_tracks_weight_over_first_half():
     # mean with slack 10 against the l >= m/2 bound
     g = gen_star_plus_forests(512, 2, seed=21)
     w = graph_weight(g)
-    chi = PartialColoring(g, g.max_degree + 1)
+    chi = PartialColoring(g)
     rng = Random(3)
     sizes = []
     while chi.uncolored_count > g.m // 2:
