@@ -30,10 +30,8 @@ from .fanpath import (
     AlternatingPath,
     Fan,
     extend_coloring,
-    flip_path,
     make_primed_fan,
     maximal_alternating_path,
-    shift_fan,
 )
 from .generators import FAMILIES, GenSpec, InfeasibleSpecError, generate
 from .graph import (
@@ -97,7 +95,6 @@ __all__ = [
     "edge_weight",
     "euler_partition",
     "extend_coloring",
-    "flip_path",
     "format_coloring",
     "generate",
     "graph_stats",
@@ -111,7 +108,6 @@ __all__ = [
     "recursion_threshold",
     "recursive_color_edges",
     "run_coloring",
-    "shift_fan",
     "verify_colors",
     "verify_proper",
     "write_edge_list",

@@ -10,7 +10,7 @@ Exit codes, shared by all subcommands:
       produced output that failed its own re-verification (the latter is
       a bug sentinel and should never happen)
 * 2 - bad input: parse errors, infeasible generator parameters, I/O
-      failures, an output path that is the input file
+      failures, an output path that is the input file or another output
 
 The seed is ``--seed``, 0 by default.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -39,9 +40,11 @@ def _open_input(path: Path) -> TextIO:
 
 
 def _same_file(a: Path, b: Path) -> bool:
-    """True when both paths name one existing file, through links too."""
+    """True when both paths name one file, existing or not, through links too."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
     try:
-        return a.samefile(b)
+        return a.samefile(b)  # hard links
     except OSError:  # either is missing or unreadable, so not the same file
         return False
 
@@ -120,9 +123,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     dump_path = args.dump if args.dump is not None else args.input.with_suffix(".colors")
     trace_path = Path(str(dump_path) + ".trace.jsonl")
-    for out in (dump_path, trace_path if args.trace else None, args.report):
-        if out is not None and _same_file(out, args.input):
-            raise ValueError(f"output path {out} would overwrite the input file")
+    named = [("the input file", args.input), ("the dump", dump_path),
+             ("the trace", trace_path if args.trace else None), ("the report", args.report)]
+    named = [(what, path) for what, path in named if path is not None]
+    for i, (_, out) in enumerate(named):
+        for what, earlier in named[:i]:
+            if _same_file(out, earlier):
+                raise ValueError(f"output path {out} would overwrite {what}")
     with _open_input(args.input) as fh:
         g = read_edge_list(fh)
     result = run_coloring(g, args.algo, args.seed, trace=args.trace)

@@ -166,9 +166,10 @@ class PartialColoring:
     ) -> None:
         """Exchange colors ``c0`` and ``c1`` along an alternating path.
 
-        The caller (see ``fanpath.flip_path``) is responsible for checking
-        that the edges form a maximal alternating path on exactly these
-        two colors; this method only performs the O(length) bookkeeping.
+        The edges must form a maximal alternating path on exactly these
+        two colors.  ``fanpath.extend_coloring`` passes one walked by
+        ``maximal_alternating_path`` and checks only that it is maximal at
+        both ends; this method only performs the O(length) bookkeeping.
         Interior vertices keep both colors occupied (their two path edges
         trade colors), so only the two path endpoints touch free lists.
         """

@@ -7,7 +7,7 @@ more edge of a partially colored graph without ever exceeding a
 * grow a *primed fan* around one endpoint of the uncolored edge;
 * walk a *maximal alternating path* on two colors from that endpoint;
 * *flip* the path and *shift* the fan so the primed color becomes legal
-  on the last relevant fan edge.
+  on the last relevant fan edge, both in :func:`extend_coloring`.
 
 A fan around center ``v`` is a sequence of distinct neighbors
 ``x_0, .., x_t`` where ``(v, x_0)`` is uncolored and the color of each
@@ -85,11 +85,6 @@ class AlternatingPath:
     def end(self) -> int:
         return self.vertices[-1]
 
-    @property
-    def internal_count(self) -> int:
-        """Number of edges with both endpoints interior to the path."""
-        return max(0, len(self.edge_ids) - 2)
-
 
 def make_primed_fan(g: Graph, chi: PartialColoring, edge: int, center: int) -> Fan:
     """Grow a primed fan around ``center`` for the uncolored ``edge``.
@@ -124,38 +119,6 @@ def make_primed_fan(g: Graph, chi: PartialColoring, edge: int, center: int) -> F
         tip = nxt
 
 
-def shift_fan(chi: PartialColoring, fan: Fan, upto: int) -> None:
-    """Rotate fan-edge colors so ``(center, leaves[upto])`` becomes uncolored.
-
-    Each fan edge up to index ``upto`` passes its color to the previous
-    one.  The prefix of the fan must satisfy the fan invariants in the
-    *current* coloring (a flip elsewhere may have invalidated the
-    suffix, which is fine: only the prefix is touched).  ``upto == 0``
-    is a no-op.  Properness is preserved at every intermediate step and
-    the set of colors present at the center does not change.
-    """
-    if not (0 <= upto < len(fan.leaves)):
-        raise InvalidFanError(f"shift index {upto} outside fan of size {len(fan.leaves)}")
-    color = chi.color
-    if color[fan.edge_ids[0]] != UNCOLORED:
-        raise InvalidFanError("first fan edge is no longer uncolored")
-    if len(set(fan.leaves[: upto + 1])) != upto + 1:
-        raise InvalidFanError("fan leaves are not distinct")
-    for i in range(1, upto + 1):
-        c = color[fan.edge_ids[i]]
-        if c == UNCOLORED:
-            raise InvalidFanError(f"fan edge {i} is uncolored")
-        if not chi.is_missing(fan.leaves[i - 1], c):
-            raise InvalidFanError(
-                f"color {c} of fan edge {i} is not missing at leaf {fan.leaves[i - 1]}"
-            )
-    for i in range(1, upto + 1):
-        eid = fan.edge_ids[i]
-        c = color[eid]
-        chi.unassign(eid)
-        chi.assign(fan.edge_ids[i - 1], c)
-
-
 def maximal_alternating_path(
     g: Graph, chi: PartialColoring, start: int, c0: int, c1: int
 ) -> AlternatingPath:
@@ -185,9 +148,7 @@ def maximal_alternating_path(
             return AlternatingPath(vertices, edge_ids, c0, c1)
         nxt = g.other_endpoint(e, cur)
         if nxt in seen:
-            raise RuntimeError(
-                f"alternating walk revisited vertex {nxt}; coloring state is corrupt"
-            )
+            raise RuntimeError(f"alternating walk revisited vertex {nxt}: coloring is corrupt")
         vertices.append(nxt)
         edge_ids.append(e)
         seen.add(nxt)
@@ -195,40 +156,11 @@ def maximal_alternating_path(
         want = c0 if want == c1 else c1
 
 
-def flip_path(chi: PartialColoring, path: AlternatingPath) -> None:
-    """Exchange the two colors along a maximal alternating path.
-
-    Verifies maximality on entry (:class:`NotMaximalError` otherwise):
-    the edge colors must alternate between the path's two colors and
-    each endpoint must carry exactly one of them.  Flipping twice
-    restores the original coloring.  An empty path is a no-op provided
-    both colors are missing at its single vertex.
-    """
-    c0, c1 = path.c0, path.c1
-    verts = path.vertices
-    eids = path.edge_ids
-    if not eids:
-        u = verts[0]
-        if not (chi.is_missing(u, c0) and chi.is_missing(u, c1)):
-            raise NotMaximalError(f"empty path at {u} but a path color is present there")
-        return
-    color = chi.color
-    first = color[eids[0]]
-    if first not in (c0, c1):
-        raise NotMaximalError(f"first path edge has color {first}, not {c0} or {c1}")
-    other = c1 if first == c0 else c0
-    expected = first
-    for i, e in enumerate(eids):
-        if color[e] != expected:
-            raise NotMaximalError(f"path edge {i} has color {color[e]}, expected {expected}")
-        expected = other if expected == first else first
-    last = color[eids[-1]]
-    if chi.occupied[verts[0]].get(first) != eids[0] or not chi.is_missing(verts[0], other):
-        raise NotMaximalError(f"path is not maximal at start vertex {verts[0]}")
-    last_other = c1 if last == c0 else c0
-    if chi.occupied[verts[-1]].get(last) != eids[-1] or not chi.is_missing(verts[-1], last_other):
-        raise NotMaximalError(f"path is not maximal at end vertex {verts[-1]}")
-    chi.swap_colors_along_path(verts, eids, c0, c1)
+def _ends_path(chi: PartialColoring, vertex: int, edge: int, c0: int, c1: int) -> bool:
+    """True when ``edge`` is the only edge at ``vertex`` colored ``c0`` or ``c1``."""
+    c = chi.color[edge]
+    occ = chi.occupied[vertex]
+    return c in (c0, c1) and occ.get(c) == edge and (c1 if c == c0 else c0) not in occ
 
 
 def extend_coloring(
@@ -236,34 +168,52 @@ def extend_coloring(
 ) -> None:
     """Color the fan's uncolored edge, recoloring along fan and path.
 
-    Two cases, checked against the live coloring state:
-
-    * the primed color is missing at the center: shift the whole fan and
-      put the primed color on its last edge;
-    * otherwise the primed color sits on fan edge ``j + 1``, where ``j``
-      is the fan's ``primed_index``; flip the path (which starts at the
-      center on that very edge) and then, unless the path ended at leaf
-      ``j``, shift only up to ``j`` before placing the primed color.
+    If the primed color is missing at the center, shift the whole fan
+    and put the primed color on its last edge.  Otherwise it sits on fan
+    edge ``j + 1``, where ``j`` is the fan's ``primed_index``: flip the
+    path (which starts at the center on that very edge) and then, unless
+    the path ended at leaf ``j``, shift only up to ``j`` before placing
+    the primed color.
 
     The fan must come from :func:`make_primed_fan` and the path from
     :func:`maximal_alternating_path` on the same state, with the path's
     ``c1`` equal to the fan's primed color; the path is unused, and may
     be None, in the first case.  Exactly one more edge is colored
     afterwards.  Runs in O(fan size + path length).
+
+    Before the first change it runs only O(1) checks: the first fan edge
+    is uncolored and ``primed_index`` names a fan edge carrying the
+    primed color (else :class:`InvalidFanError`), and the path starts at
+    the center on that color and is maximal at both ends (else
+    :class:`NotMaximalError`).  The shift moves each color through the
+    conflict-checked ``unassign``/``assign``; :mod:`edgecolor.oracles`
+    holds the full O(length) checks of the path and the fan.
     """
     v = fan.center
     c1 = fan.primed_color
-    upto = len(fan.leaves) - 1
+    color = chi.color
+    eids = fan.edge_ids
+    upto = len(eids) - 1
+    if color[eids[0]] != UNCOLORED:
+        raise InvalidFanError("first fan edge is no longer uncolored")
     if not chi.is_missing(v, c1):
         if path is None or path.c1 != c1 or path.start != v:
             raise NotMaximalError("primed color present at center but no matching path")
         j = fan.primed_index
-        if j is None or not 0 <= j < upto or chi.color[fan.edge_ids[j + 1]] != c1:
-            raise InvalidFanError(
-                f"primed color {c1} is neither missing at center {v} nor on a fan edge"
-            )
-        flip_path(chi, path)
+        if j is None or not 0 <= j < upto or color[eids[j + 1]] != c1:
+            raise InvalidFanError(f"primed color {c1} is neither missing at center {v} "
+                                  "nor on a fan edge")
+        # An empty path is maximal only where both colors are missing,
+        # and c1 is present at the center.
+        c0, peids = path.c0, path.edge_ids
+        if not (peids and _ends_path(chi, v, peids[0], c0, c1)
+                and _ends_path(chi, path.end, peids[-1], c0, c1)):
+            raise NotMaximalError(f"({c0},{c1})-path from center {v} is not maximal")
+        chi.swap_colors_along_path(path.vertices, peids, c0, c1)
         if path.end != fan.leaves[j]:
             upto = j
-    shift_fan(chi, fan, upto)
-    chi.assign(fan.edge_ids[upto], c1)
+    for i in range(1, upto + 1):
+        c = color[eids[i]]
+        chi.unassign(eids[i])
+        chi.assign(eids[i - 1], c)
+    chi.assign(eids[upto], c1)

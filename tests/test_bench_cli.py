@@ -202,6 +202,33 @@ def test_cli_color_refuses_to_overwrite_its_input(tmp_path, capsys):
     assert not list(tmp_path.glob("d.colors*"))
 
 
+def test_cli_color_refuses_outputs_that_name_one_file(tmp_path, capsys):
+    graph_path = _generate(tmp_path)
+    out = tmp_path / "out"
+    kept = tmp_path / "kept.colors"
+    kept.write_text("kept\n")
+    hard = tmp_path / "hard.json"
+    os.link(kept, hard)
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(out)  # resolves to a dump that does not exist yet
+    for argv, clash in (
+        (["--dump", str(out), "--report", str(out)], "the dump"),
+        (["--dump", str(out), "--report", str(dangling)], "the dump"),
+        (["--dump", str(kept), "--report", str(hard)], "the dump"),
+        (["--dump", str(out), "--trace", "--report", str(out) + ".trace.jsonl"], "the trace"),
+    ):
+        assert main(["color", str(graph_path), *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: output path \S+ would overwrite {clash}\n", captured.err)
+        assert not out.exists() and not Path(str(out) + ".trace.jsonl").exists()
+        assert kept.read_text() == "kept\n"
+    # the trace file is written only with --trace, so it may share a name then
+    trace_name = str(out) + ".trace.jsonl"
+    assert main(["color", str(graph_path), "--dump", str(out), "--report", trace_name]) == 0
+    assert Path(trace_name).read_text() == capsys.readouterr().out
+
+
 def test_cli_color_report_and_dump_paths(tmp_path, capsys):
     graph_path = _generate(tmp_path)
     dump = tmp_path / "custom.colors"

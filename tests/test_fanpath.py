@@ -8,17 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import colored_graphs, random_graph, random_partial
-from edgecolor.coloring import UNCOLORED, PartialColoring, validate_structures, verify_proper
+from edgecolor.bench import ALGORITHMS, run_coloring
+from edgecolor.coloring import (
+    UNCOLORED,
+    ColoringError,
+    PartialColoring,
+    validate_structures,
+    verify_proper,
+)
 from edgecolor.fanpath import (
     AlternatingPath,
     InvalidFanError,
     NotMaximalError,
     extend_coloring,
-    flip_path,
     make_primed_fan,
     maximal_alternating_path,
-    shift_fan,
 )
+from edgecolor.generators import gen_preferential_attachment
 from edgecolor.graph import build_graph
 from edgecolor.oracles import check_fan, count_internal_memberships, enumerate_maximal_paths
 
@@ -81,65 +87,102 @@ def test_fan_determinism():
 
 
 def test_shift_fan_noop_and_single_rotation():
+    # a one-edge fan shifts nothing: its primed color goes on its edge
+    chi = PartialColoring(STAR4)
+    fan = make_primed_fan(STAR4, chi, 0, 0)
+    assert fan.size == 1 and fan.primed_index is None
+    extend_coloring(STAR4, chi, fan, None)
+    assert chi.color == [fan.primed_color, UNCOLORED, UNCOLORED]
+
+    # (0,1) uncolored, (0,2)=1; leaf 2 misses 2, which the center misses too
     chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     fan = make_primed_fan(STAR4, chi, 0, 0)
+    assert (fan.leaves, fan.primed_color, fan.primed_index) == ([1, 2], 2, None)
     m_before = set(chi.missing_colors(0))
-    shift_fan(chi, fan, 0)  # no-op
-    assert chi.color[0] == UNCOLORED and chi.color[1] == 1
-
-    shift_fan(chi, fan, 1)  # single rotation
-    assert chi.color[0] == 1 and chi.color[1] == UNCOLORED
-    assert set(chi.missing_colors(0)) == m_before
+    extend_coloring(STAR4, chi, fan, None)
+    assert chi.color[:2] == [1, 2]  # color 1 shifted down, the primed 2 placed
+    assert set(chi.missing_colors(0)) == m_before - {2}
     assert verify_proper(STAR4, chi).proper
     assert validate_structures(chi) == []
 
 
 @given(colored_graphs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=100)
-def test_shift_fan_preserves_properness_and_center_missing_set(pair, seed):
+def test_extend_takes_one_missing_color_from_the_center(pair, seed):
+    # the shift leaves the center's colors alone; only the newly
+    # colored edge (and, after a flip, the path's first edge) change them
     g, chi = pair
     rng = Random(seed)
     if not chi.uncolored:
         return
     e = chi.uncolored[rng.randrange(len(chi.uncolored))]
     center = g.endpoints[e][rng.randrange(2)]
-    fan = make_primed_fan(g, chi, e, center)
-    upto = rng.randrange(fan.size)
     m_before = set(chi.missing_colors(center))
-    shift_fan(chi, fan, upto)
-    assert chi.color[fan.edge_ids[upto]] == UNCOLORED
-    assert set(chi.missing_colors(center)) == m_before
+    _run_pipeline(g, chi, e, center, rng)
+    m_after = set(chi.missing_colors(center))
+    assert m_after < m_before and len(m_before - m_after) == 1
     assert verify_proper(g, chi).proper
     assert validate_structures(chi) == []
 
 
+@given(colored_graphs(max_n=6), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_fan_prefix_stays_valid_after_the_flip(pair, seed):
+    # The lemma that lets extend_coloring shift without re-checking the
+    # fan: after the flip, each fan edge 1..upto still carries a color
+    # missing at the previous leaf.
+    g, chi = pair
+    rng = Random(seed)
+    if not chi.uncolored:
+        return
+    e = chi.uncolored[rng.randrange(len(chi.uncolored))]
+    center = g.endpoints[e][rng.randrange(2)]
+    c0 = chi.random_missing_color(center, rng)
+    fan = make_primed_fan(g, chi, e, center)
+    c1 = fan.primed_color
+    upto = fan.size - 1
+    if not chi.is_missing(center, c1):
+        j = fan.primed_index
+        path = maximal_alternating_path(g, chi, center, c0, c1)
+        chi.swap_colors_along_path(path.vertices, path.edge_ids, c0, c1)
+        if path.end != fan.leaves[j]:
+            upto = j
+    for i in range(1, upto + 1):
+        c = chi.color[fan.edge_ids[i]]
+        assert c != UNCOLORED and chi.is_missing(fan.leaves[i - 1], c)
+
+
 def test_shift_fan_rejects_invalidated_fan():
     # fan checks are against the live coloring, so invalidate it live:
-    # first by coloring the fan's uncolored edge...
+    # first by coloring the fan's uncolored edge, caught before any change...
     chi = PartialColoring(STAR4)
     chi.assign(1, 1)
     fan = make_primed_fan(STAR4, chi, 0, 0)
     chi.assign(0, 4)
+    before = chi.color[:]
     with pytest.raises(InvalidFanError):
-        shift_fan(chi, fan, fan.size - 1)
+        extend_coloring(STAR4, chi, fan, None)
+    assert chi.color == before
 
-    # ...then by making a fan color present at the previous leaf
+    # ...then by making a fan color present at the previous leaf, which
+    # the checked shift refuses, leaving a proper partial coloring
     g = build_graph([(0, 1), (0, 2), (0, 3), (1, 3)], 4)
     chi = PartialColoring(g)
     chi.assign(1, 1)  # (0,2) = 1
     fan = make_primed_fan(g, chi, 0, 0)
-    assert fan.leaves[:2] == [1, 2] and chi.color[fan.edge_ids[1]] == 1
+    assert fan.leaves == [1, 2] and chi.color[fan.edge_ids[1]] == 1
     chi.assign(3, 1)  # (1,3) = 1: color 1 no longer missing at leaf 1
-    with pytest.raises(InvalidFanError):
-        shift_fan(chi, fan, 1)
+    with pytest.raises(ColoringError):
+        extend_coloring(g, chi, fan, None)
+    assert verify_proper(g, chi).proper
+    assert validate_structures(chi) == []
 
 
 def test_maximal_path_empty_when_second_color_missing():
     chi = PartialColoring(P3)
     p = maximal_alternating_path(P3, chi, 0, c0=1, c1=2)
     assert p.length == 0 and p.vertices == [0]
-    assert p.internal_count == 0
 
 
 def test_maximal_path_forced_walk():
@@ -150,7 +193,6 @@ def test_maximal_path_forced_walk():
     p = maximal_alternating_path(P3, chi, 0, c0=2, c1=1)
     assert p.vertices == [0, 1, 2]
     assert p.edge_ids == [0, 1]
-    assert p.internal_count == 0
     # on colors (3, 1) it stops at b: edge (b, c) carries neither color
     q = maximal_alternating_path(P3, chi, 0, c0=3, c1=1)
     assert q.vertices == [0, 1]
@@ -211,12 +253,38 @@ def test_maximal_path_is_maximal_and_unique(pair, seed):
         )
 
 
+def _star_primed_at_a_leaf():
+    """STAR4 plus (2,4)=3: the fan is primed at leaf 0 by color 1, and the
+    maximal (3,1)-path from the center runs 0-2-4."""
+    g = build_graph([(0, 1), (0, 2), (0, 3), (2, 4)], 5)
+    chi = PartialColoring(g)
+    for e, c in [(1, 1), (2, 2), (3, 3)]:
+        chi.assign(e, c)
+    fan = make_primed_fan(g, chi, 0, 0)
+    assert (fan.leaves, fan.primed_color, fan.primed_index) == ([1, 2, 3], 1, 0)
+    return g, chi, fan
+
+
 def test_flip_empty_path():
-    chi = PartialColoring(P3)
-    flip_path(chi, AlternatingPath([0], [], 1, 2))  # both missing: fine
-    chi.assign(0, 1)
+    # an empty path where both colors are missing is test_extend_single_edge_case_one;
+    # where the primed color that must be flipped away is present, it is refused
+    g, chi, fan = _star_primed_at_a_leaf()
+    before = chi.color[:]
     with pytest.raises(NotMaximalError):
-        flip_path(chi, AlternatingPath([0], [], 1, 2))  # 1 present at 0
+        extend_coloring(g, chi, fan, AlternatingPath([0], [], 3, 1))  # 1 present at 0
+    assert chi.color == before
+
+
+def test_flip_rejects_non_maximal():
+    g, chi, fan = _star_primed_at_a_leaf()
+    assert maximal_alternating_path(g, chi, 0, 3, 1).vertices == [0, 2, 4]
+    before = chi.color[:]
+    truncated = AlternatingPath([0, 2], [1], c0=3, c1=1)
+    with pytest.raises(NotMaximalError):
+        extend_coloring(g, chi, fan, truncated)  # vertex 2 still has color 3 on edge 3
+    assert chi.color == before
+    extend_coloring(g, chi, fan, maximal_alternating_path(g, chi, 0, 3, 1))
+    assert chi.uncolored_count == 0 and verify_proper(g, chi).proper
 
 
 def test_flip_two_edge_path():
@@ -224,24 +292,11 @@ def test_flip_two_edge_path():
     chi.assign(0, 1)
     chi.assign(1, 2)
     p = maximal_alternating_path(P3, chi, 0, c0=2, c1=1)
-    flip_path(chi, p)
+    chi.swap_colors_along_path(p.vertices, p.edge_ids, p.c0, p.c1)
     assert chi.color == [2, 1]
     assert verify_proper(P3, chi).proper
     # after a nonempty flip, c1 enters M(u) and c0 leaves it
     assert chi.is_missing(0, 1) and not chi.is_missing(0, 2)
-
-
-def test_flip_rejects_non_maximal():
-    p4 = build_graph([(0, 1), (1, 2), (2, 3)], 4)
-    chi = PartialColoring(p4)
-    for e, c in [(0, 1), (1, 2), (2, 1)]:
-        chi.assign(e, c)
-    truncated = AlternatingPath([0, 1, 2], [0, 1], c0=2, c1=1)
-    with pytest.raises(NotMaximalError):
-        flip_path(chi, truncated)  # vertex 2 still has color 1 on edge 2
-    wrong_colors = AlternatingPath([0, 1, 2, 3], [0, 1, 2], c0=3, c1=1)
-    with pytest.raises(NotMaximalError):
-        flip_path(chi, wrong_colors)
 
 
 @given(colored_graphs(), st.integers(0, 2**32 - 1))
@@ -254,10 +309,10 @@ def test_flip_is_involution(pair, seed):
         return
     p = paths[rng.randrange(len(paths))]
     before = chi.color[:]
-    flip_path(chi, p)
+    chi.swap_colors_along_path(p.vertices, p.edge_ids, p.c0, p.c1)
     assert verify_proper(g, chi).proper
     assert validate_structures(chi) == []
-    flip_path(chi, p)
+    chi.swap_colors_along_path(p.vertices, p.edge_ids, p.c0, p.c1)
     assert chi.color == before
     assert validate_structures(chi) == []
 
@@ -336,20 +391,31 @@ def test_extend_rejects_fan_whose_primed_index_misses_the_primed_color():
         assert chi.color == before
 
 
-def test_internal_count_matches_definition_on_enumerated_paths():
-    rng = Random(7)
-    for _ in range(30):
-        g = random_graph(8, rng.randrange(0, 20), rng)
-        chi = random_partial(g, rng)
-        for p in enumerate_maximal_paths(g, chi):
-            ends = {p.vertices[0], p.vertices[-1]}
-            by_definition = sum(
-                1
-                for e in p.edge_ids
-                if not (set(g.endpoints[e]) & ends)
-            )
-            assert p.internal_count == by_definition
-            assert p.length <= p.internal_count + 2
+# (assign, unassign) calls per colorer on preferential-attachment n=1000
+# degree 10, graph and colorer seed 42.  Every shifted fan color is one checked
+# unassign plus one checked assign, so a shift that bypassed them would
+# move these counts; the benchmark's assign.calls work count reads the same.
+CHECKED_CALLS = {
+    "naive": (20051, 10106),
+    "color-edges": (13871, 3926),
+    "recursive": (41084, 1304),
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_shifts_go_through_checked_assign_and_unassign(algorithm, monkeypatch):
+    g = gen_preferential_attachment(1000, 10, seed=42)
+    calls = {"assign": 0, "unassign": 0}
+    for name in calls:
+        method = getattr(PartialColoring, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(PartialColoring, name, counted)
+    run_coloring(g, algorithm, 42)
+    assert (calls["assign"], calls["unassign"]) == CHECKED_CALLS[algorithm]
 
 
 def test_count_internal_memberships_examples():
