@@ -19,15 +19,23 @@ All single-edge mutations are O(1).  The structures are redundant with
 the color array on purpose; :func:`validate_structures` recomputes them
 from scratch and reports any drift, and :func:`verify_proper` checks
 properness without consulting them at all.
+
+:meth:`PartialColoring.from_colors` takes a whole color array at once.
+For a total coloring it checks properness in O(m) and leaves the
+per-vertex index (the occupied maps, the free lists and the uncolored
+inverse index) unbuilt until something first reads it, so a coloring
+that is only read back, as the recursive colorer's merged nodes are,
+never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 from typing import Sequence, TextIO
 
-from .graph import Graph, ParseError, int_pairs
+from .graph import Graph, IntPairs, ParseError
 
 UNCOLORED = 0
 
@@ -86,6 +94,37 @@ class PartialColoring:
         self._free_pos: list[list[int]] = [list(range(-1, d + 1)) for d in g.degree]
         self.uncolored: list[int] = list(range(g.m))
         self._ind: list[int] = list(range(g.m))
+
+    @staticmethod
+    def from_colors(g: Graph, colors: list[int]) -> PartialColoring:
+        """The coloring of ``g`` that holds ``colors``, one color or 0 per edge id.
+
+        Equal to an empty coloring filled by checked :meth:`assign` calls
+        in edge-id order, and raises what those calls raise.  A total
+        coloring is checked at once, by one set of ``(vertex, color)``
+        keys, and takes ``colors`` over as its color array; its index is
+        built on first read, by those same checked calls.  On a clash, or
+        when some edge is uncolored (a coloring that is about to be
+        colored further), the checked calls run right away.
+        """
+        if len(colors) != g.m:
+            raise ColoringError(f"{len(colors)} colors for {g.m} edges")
+        k = g.max_degree + 1
+        if not colors or (min(colors) >= 1 and max(colors) <= k):
+            keys = set(zip(map(itemgetter(0), g.endpoints), colors))
+            keys.update(zip(map(itemgetter(1), g.endpoints), colors))
+            if len(keys) == 2 * g.m:
+                chi = object.__new__(_Unindexed)
+                chi.g = g
+                chi.k = k
+                chi.color = colors
+                chi.uncolored = []
+                return chi
+        chi = PartialColoring(g)
+        for e, c in enumerate(colors):
+            if c != UNCOLORED:
+                chi.assign(e, c)
+        return chi
 
     # -- basic queries ------------------------------------------------
 
@@ -155,9 +194,11 @@ class PartialColoring:
         if c == UNCOLORED:
             raise AlreadyUncoloredError(edge)
         u, v = self.g.endpoints[edge]
-        self.color[edge] = UNCOLORED
+        # Release before clearing the color: an unbuilt index is built
+        # from the color array on its first read.
         self._release(u, c)
         self._release(v, c)
+        self.color[edge] = UNCOLORED
         self._ind[edge] = len(self.uncolored)
         self.uncolored.append(edge)
 
@@ -234,6 +275,36 @@ class PartialColoring:
         new.uncolored = self.uncolored[:]
         new._ind = self._ind[:]
         return new
+
+
+_INDEX = frozenset(("occupied", "_free", "_free_pos", "_ind"))
+
+
+class _Unindexed(PartialColoring):
+    """A total coloring from :meth:`PartialColoring.from_colors`, index unbuilt.
+
+    Reading an unset index slot lands in ``__getattr__``, which builds the
+    index by checked assignment in edge-id order and turns the instance
+    into a plain :class:`PartialColoring`, so later reads never come back
+    here.  The hook lives on this subclass alone: on ``PartialColoring``
+    itself it would turn off CPython's attribute specialization for every
+    coloring (see ``tests/test_coloring.py``).
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in _INDEX:
+            raise AttributeError(name)
+        built = PartialColoring(self.g)
+        for e, c in enumerate(self.color):
+            built.assign(e, c)
+        self.occupied = built.occupied
+        self._free = built._free
+        self._free_pos = built._free_pos
+        self._ind = built._ind
+        self.__class__ = PartialColoring
+        return getattr(self, name)
 
 
 # -- verification -----------------------------------------------------------
@@ -351,13 +422,14 @@ def parse_coloring(source: str | TextIO, m: int) -> list[int]:
     """
     colors = [UNCOLORED] * m
     listed = [False] * m
-    for line_no, e, c in int_pairs(source):
+    pairs = IntPairs(source)
+    for e, c in pairs:
         if not (0 <= e < m):
-            raise ParseError(line_no, f"edge id {e} outside 0..{m - 1}")
+            raise ParseError(pairs.line_no, f"edge id {e} outside 0..{m - 1}")
         if listed[e]:
-            raise ParseError(line_no, f"edge id {e} listed twice")
+            raise ParseError(pairs.line_no, f"edge id {e} listed twice")
         if c < 0:
-            raise ParseError(line_no, f"negative color {c}")
+            raise ParseError(pairs.line_no, f"negative color {c}")
         listed[e] = True
         colors[e] = c
     return colors

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from itertools import islice
+from typing import Iterable, TextIO
 
 
 class GraphError(ValueError):
@@ -192,8 +193,8 @@ def graph_stats(g: Graph) -> GraphStats:
     )
 
 
-def int_pairs(source: str | TextIO) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(line_no, a, b)`` per line of two integers in a text format.
+class IntPairs:
+    """Iterator over the ``(a, b)`` pairs of a two-integers-per-line format.
 
     ``source`` is an open text file or a string, split into lines alike
     (universal newlines).  Blank lines and ``#`` comments are skipped;
@@ -202,27 +203,44 @@ def int_pairs(source: str | TextIO) -> Iterator[tuple[int, int, int]]:
     take ``+``, ``_`` and non-ASCII digits, which are refused here.  A
     line holding a lone surrogate, which is how a file opened with
     ``errors="surrogateescape"`` carries bytes that are not UTF-8, is a
-    :class:`ParseError` too, comment or not.
+    :class:`ParseError` too, comment or not.  ``line_no`` is the line of
+    the pair returned last, so a caller can name the line of a pair it
+    rejects.
     """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.isascii():
+
+    __slots__ = ("_lines", "line_no")
+
+    def __init__(self, source: str | TextIO):
+        lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+        self._lines = enumerate(lines, start=1)
+        self.line_no = 0
+
+    def __iter__(self) -> IntPairs:
+        return self
+
+    def __next__(self) -> tuple[int, int]:
+        for line_no, raw in self._lines:
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_no, "not valid UTF-8") from None
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
             try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(line_no, "not valid UTF-8") from None
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        try:
-            a, b = parts
-            token = a + b
-            if not token.isascii() or "+" in token or "_" in token:
-                raise ValueError
-            a, b = int(a), int(b)
-        except ValueError:
-            raise ParseError(line_no, f"expected two integers, got {raw.strip()!r}") from None
-        yield line_no, a, b
+                a, b = parts
+                token = a + b
+                if not token.isascii() or "+" in token or "_" in token:
+                    raise ValueError
+                a, b = int(a), int(b)
+            except ValueError:
+                raise ParseError(
+                    line_no, f"expected two integers, got {raw.strip()!r}"
+                ) from None
+            self.line_no = line_no
+            return a, b
+        raise StopIteration
 
 
 def read_edge_list(source: str | TextIO) -> Graph:
@@ -231,34 +249,28 @@ def read_edge_list(source: str | TextIO) -> Graph:
     The first significant line is ``n m``; exactly ``m`` lines ``u v``
     follow (0-indexed vertices).  Blank lines and ``#`` comments are
     skipped anywhere.  Edges stream into :func:`build_graph` as they are
-    read.  Every error names its line: a :class:`ParseError`, or an
-    :class:`EdgeError` from :func:`build_graph` with the line prefixed.
+    read, so reading stops at the first bad line.  Every error names its
+    line: a :class:`ParseError`, or an :class:`EdgeError` from
+    :func:`build_graph` with the line prefixed.
     """
-    pairs = int_pairs(source)
+    pairs = IntPairs(source)
     header = next(pairs, None)
     if header is None:
         raise ParseError(1, "missing 'n m' header")
-    header_line, n, m = header
+    n, m = header
+    header_line = pairs.line_no
     if n < 0 or m < 0:
         raise ParseError(header_line, "header counts must be non-negative")
-    line_no = header_line
-
-    def edges() -> Iterator[tuple[int, int]]:
-        nonlocal line_no
-        count = 0
-        for line_no, u, v in pairs:
-            if count == m:
-                raise ParseError(line_no, f"more than {m} edge lines")
-            count += 1
-            yield u, v
-        if count != m:
-            raise ParseError(header_line, f"header promises {m} edges, found {count}")
-
     try:
-        return build_graph(edges(), n)
+        g = build_graph(islice(pairs, m), n)
     except EdgeError as exc:
-        exc.args = (f"line {line_no}: {exc}",)
+        exc.args = (f"line {pairs.line_no}: {exc}",)
         raise
+    if g.m != m:
+        raise ParseError(header_line, f"header promises {m} edges, found {g.m}")
+    if next(pairs, None) is not None:
+        raise ParseError(pairs.line_no, f"more than {m} edge lines")
+    return g
 
 
 def write_edge_list(g: Graph) -> str:

@@ -192,8 +192,9 @@ def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColor
     total edge weight (ties to the lower color index) are uncolored;
     surviving classes are relabeled order-preservingly into
     ``1..max_degree + 1``.  With ``k <= max_degree + 1`` no class is
-    dropped.  The result is built by checked assignment in edge-id order;
-    a conflict in the input raises :class:`ImproperInputError`.
+    dropped.  The result comes from :meth:`PartialColoring.from_colors`:
+    a conflict in the input raises :class:`ImproperInputError`, and when
+    no edge is uncolored the coloring's index is not built until read.
     """
     target = g.max_degree + 1
     surplus = k - target
@@ -204,9 +205,11 @@ def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColor
         )
     if colors and (min(colors) < 1 or max(colors) > k):
         raise ImproperInputError(f"prune requires a total coloring on colors 1..{k}")
+    degree = g.degree
     cost = [0] * (k + 1)
-    for e, c in enumerate(colors):
-        cost[c] += edge_weight(g, e)
+    for (u, v), c in zip(g.endpoints, colors):
+        du, dv = degree[u], degree[v]
+        cost[c] += du if du < dv else dv
     doomed = set(sorted(range(1, k + 1), key=lambda c: (cost[c], c))[: max(surplus, 0)])
     remap = [UNCOLORED] * (k + 1)
     nxt = 1
@@ -214,15 +217,10 @@ def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColor
         if c not in doomed:
             remap[c] = nxt
             nxt += 1
-    out = PartialColoring(g)
     try:
-        for e, c in enumerate(colors):
-            c = remap[c]
-            if c != UNCOLORED:
-                out.assign(e, c)
+        return PartialColoring.from_colors(g, [remap[c] for c in colors])
     except ColorConflictError as exc:
         raise ImproperInputError(f"coloring to prune is improper: {exc}") from exc
-    return out
 
 
 # -- recursion driver ---------------------------------------------------------
@@ -303,6 +301,8 @@ def recursive_color_edges(
 # a repair by whether the coloring is still empty when color_edges runs;
 # so these names, ``level``'s place and that one call must stay.  ``vmap``
 # maps this node's vertices to root ids; it is kept only when tracing.
+# A merged node whose prune uncolors nothing hands color_edges nothing to
+# do, so its coloring's index is never built (see from_colors).
 def _recurse(
     g: Graph,
     rng: Random,

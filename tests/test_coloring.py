@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import graphs, random_partial
+from _util import colored_graphs, graphs, random_partial
 from edgecolor.coloring import (
     UNCOLORED,
     AlreadyColoredError,
@@ -22,6 +22,8 @@ from edgecolor.coloring import (
     verify_proper,
 )
 from edgecolor.graph import ParseError, build_graph
+from edgecolor.oracles import enumerate_maximal_paths
+from edgecolor.sequential import color_edges
 
 TRIANGLE = build_graph([(0, 1), (1, 2), (2, 0)], 3)
 SINGLE = build_graph([(0, 1)], 2)
@@ -230,6 +232,88 @@ def test_copy_is_independent():
     assert chi.color[1] == UNCOLORED
     assert validate_structures(chi) == []
     assert validate_structures(dup) == []
+
+
+def _assigned(g, colors):
+    """An empty coloring filled by checked assignment in edge-id order."""
+    chi = PartialColoring(g)
+    for e, c in enumerate(colors):
+        if c != UNCOLORED:
+            chi.assign(e, c)
+    return chi
+
+
+def _fields(chi):
+    return [getattr(chi, name) for name in PartialColoring.__slots__]
+
+
+TOUCHES = ("read", "unassign", "swap", "copy", "is_missing", "some_missing_color")
+
+
+@given(colored_graphs(), st.booleans(), st.sampled_from(TOUCHES), st.data())
+@settings(max_examples=150)
+def test_from_colors_equals_checked_assignment(graph_and_coloring, total, touch, data):
+    g, sampled = graph_and_coloring
+    if total:
+        color_edges(g, sampled, Random(0))
+    colors = sampled.color[:]
+    chi = PartialColoring.from_colors(g, colors[:])
+    ref = _assigned(g, colors)
+    # Only a total coloring leaves its index unbuilt.
+    assert (type(chi) is PartialColoring) == (UNCOLORED in colors)
+    v = data.draw(st.integers(0, g.n - 1))
+    c = data.draw(st.integers(1, ref.k))
+    colored = [e for e in range(g.m) if colors[e] != UNCOLORED]
+    paths = enumerate_maximal_paths(g, ref)
+    if touch == "read":
+        assert chi.occupied == ref.occupied
+    elif touch == "unassign" and colored:
+        e = data.draw(st.sampled_from(colored))
+        chi.unassign(e)
+        ref.unassign(e)
+    elif touch == "swap" and paths:
+        p = data.draw(st.sampled_from(paths))
+        chi.swap_colors_along_path(p.vertices, p.edge_ids, p.c0, p.c1)
+        ref.swap_colors_along_path(p.vertices, p.edge_ids, p.c0, p.c1)
+    elif touch == "copy":
+        dup = chi.copy()
+        assert type(dup) is PartialColoring
+        assert _fields(dup) == _fields(ref)
+    elif touch == "is_missing":
+        assert chi.is_missing(v, c) == ref.is_missing(v, c)
+    elif touch == "some_missing_color":
+        assert chi.some_missing_color(v) == ref.some_missing_color(v)
+    else:
+        chi.occupied  # no edge or path to touch with: read the index
+    assert type(chi) is PartialColoring
+    assert _fields(chi) == _fields(ref)
+    assert validate_structures(chi) == []
+
+
+def test_from_colors_raises_what_checked_assignment_raises():
+    for colors, error in (
+        ([1, 1, 2], ColorConflictError),  # color 1 twice at vertex 1
+        ([2, 3, 2], ColorConflictError),  # color 2 twice at vertex 0
+        ([1, 2, 4], ColoringError),  # outside the palette 1..3
+        ([1, -1, 2], ColoringError),
+    ):
+        with pytest.raises(error) as checked:
+            _assigned(TRIANGLE, colors)
+        with pytest.raises(error) as bulk:
+            PartialColoring.from_colors(TRIANGLE, colors)
+        assert str(bulk.value) == str(checked.value)
+    with pytest.raises(ColoringError, match="^2 colors for 3 edges$"):
+        PartialColoring.from_colors(TRIANGLE, [1, 2])
+
+
+def test_partial_coloring_has_no_attribute_hook():
+    # A __getattr__ or __getattribute__ on PartialColoring itself turns off
+    # CPython 3.11's specialized attribute access for every coloring.  Even
+    # a bare `raise AttributeError` hook made color-edges on erdos-renyi
+    # n=3000 m=15000 1.33x slower (median of 10 interleaved calls, CPython
+    # 3.11.7, 2 cores).  The lazy index hook lives on a private subclass.
+    assert "__getattr__" not in vars(PartialColoring)
+    assert PartialColoring.__getattribute__ is object.__getattribute__
 
 
 @given(graphs(min_n=1), st.integers(0, 2**32 - 1))

@@ -289,11 +289,22 @@ def test_one_coloring_per_recursion_node(monkeypatch):
         init(self, g)
 
     monkeypatch.setattr(PartialColoring, "__init__", counting_init)
-    g = gen_star_plus_forests(1024, 2, seed=1)
-    trace = RecursionTrace()
-    recursive_color_edges(g, Random(1), trace=trace)
-    assert any(not node.is_base for node in trace.nodes)
-    assert len(builds) == len(trace.nodes)
+    # On star-plus-forests no merged node prunes an edge; on preferential
+    # attachment every merged node leaves edges to repair.
+    for g, merged_nodes_color in (
+        (gen_star_plus_forests(1024, 2, seed=1), False),
+        (gen_preferential_attachment(1000, 10, seed=4), True),
+    ):
+        builds.clear()
+        trace = RecursionTrace()
+        chi = recursive_color_edges(g, Random(1), trace=trace)
+        # A base node colors every edge and a merged node only what its
+        # prune left uncolored; only a node that colors builds an index.
+        colors_here = [node.is_base or node.pruned_weight > 0 for node in trace.nodes]
+        assert colors_here.count(False) == (0 if merged_nodes_color else 63)
+        assert len(builds) == colors_here.count(True)
+        assert (type(chi) is PartialColoring) == merged_nodes_color
+        assert verify_proper(g, chi).proper and not chi.uncolored
 
 
 # sha256 of the coloring dump, keyed by the class cost that prune ranks
