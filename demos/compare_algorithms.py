@@ -20,8 +20,8 @@ def main():
         result = run_coloring(g, algo, seed=7)
         report = build_report(g, result, 7, spec.to_dict())
         print(
-            f"{algo:12} {report.wall_us / 1000:9.1f} {report.palette:8}"
-            f" {report.colors_used:5} {report.max_color:4} {report.ok}"
+            f"{algo:12} {report['wall_us'] / 1000:9.1f} {report['palette']:8}"
+            f" {report['colors_used']:5} {report['max_color']:4} {report['ok']}"
         )
     print("\nnaive picks deterministic colors edge by edge; color-edges does")
     print("randomized single-edge steps; recursive splits the graph in")

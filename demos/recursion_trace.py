@@ -12,7 +12,6 @@ from random import Random
 
 from edgecolor import (
     GenSpec,
-    RecursionTrace,
     collect_level_stats,
     generate,
     recursion_threshold,
@@ -27,7 +26,7 @@ def main():
     print(f"graph: {spec.family} n={g.n} m={g.m} max_degree={g.max_degree}")
     print(f"split threshold for n={g.n}: {recursion_threshold(g.n):.1f}\n")
 
-    trace = RecursionTrace()
+    trace = []
     chi = recursive_color_edges(g, Random(5), trace=trace)
 
     header = (
@@ -37,19 +36,19 @@ def main():
     print(header)
     print("-" * len(header))
     for level in collect_level_stats(trace):
-        degrees = [d for d, _w, _m in level.subgraphs]
-        deg_span = f"{min(degrees)}..{max(degrees)} (ref {level.delta_ref:.1f})"
+        degrees = [d for d, _w, _m in level["subgraphs"]]
+        deg_span = f"{min(degrees)}..{max(degrees)} (ref {level['delta_ref']:.1f})"
         print(
-            f"{level.level:>5} {len(level.subgraphs):>6} {deg_span:>24}"
-            f" {level.total_weight:>11} {level.weight_ref:>9.0f}"
-            f" {len(level.violations):>11}"
+            f"{level['level']:>5} {len(level['subgraphs']):>6} {deg_span:>24}"
+            f" {level['total_weight']:>11} {level['weight_ref']:>9.0f}"
+            f" {len(level['violations']):>11}"
         )
 
-    internal = [n for n in trace.nodes if not n.is_base]
+    internal = [n for n in trace if not n.is_base]
     repaired = sum(n.pruned_weight for n in internal)
-    print(f"\nsplits: {len(internal)}, leaves: {len(trace.nodes) - len(internal)}")
+    print(f"\nsplits: {len(internal)}, leaves: {len(trace) - len(internal)}")
     print(f"total weight repaired after pruning: {repaired}"
-          f" (root weight {trace.nodes[-1].weight})")
+          f" (root weight {trace[-1].weight})")
     report = verify_proper(g, chi)
     print(f"final coloring proper: {report.proper},"
           f" colors used {report.colors_used} <= {g.max_degree + 1}")

@@ -16,7 +16,7 @@ alternating paths, the single-edge extension), :mod:`edgecolor.sequential`
 (timed runs and reports) and :mod:`edgecolor.cli` (command line).
 """
 
-from .bench import ALGORITHMS, RunReport, RunResult, build_report, run_coloring
+from .bench import ALGORITHMS, RunResult, build_report, run_coloring
 from .coloring import (
     UNCOLORED,
     ColoringReport,
@@ -47,8 +47,6 @@ from .graph import (
 )
 from .recursive import (
     EulerSplit,
-    LevelStats,
-    RecursionTrace,
     collect_level_stats,
     euler_partition,
     merge_colorings,
@@ -78,10 +76,7 @@ __all__ = [
     "Graph",
     "GraphStats",
     "InfeasibleSpecError",
-    "LevelStats",
     "PartialColoring",
-    "RecursionTrace",
-    "RunReport",
     "RunResult",
     "StepTrace",
     "build_graph",

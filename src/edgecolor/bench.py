@@ -10,15 +10,14 @@ from the algorithm's own bookkeeping.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from random import Random
 
 from .coloring import ColoringReport, PartialColoring, verify_colors
 from .graph import Graph, graph_stats
-from .recursive import LevelStats, RecursionTrace, collect_level_stats, recursive_color_edges
+from .recursive import collect_level_stats, recursive_color_edges
 from .sequential import StepTrace, color_edges, color_edges_deterministic
 
 SCHEMA_VERSION = 1
@@ -33,7 +32,7 @@ class RunResult:
     algorithm: str
     chi: PartialColoring
     wall_us: int
-    level_stats: list[LevelStats] | None = None
+    level_stats: list[dict] | None = None
     step_traces: list[StepTrace] | None = None
 
 
@@ -56,50 +55,11 @@ def run_coloring(g: Graph, algorithm: str, seed: int, trace: bool = False) -> Ru
         chi = PartialColoring(g)
         steps = color_edges(g, chi, Random(seed), trace=trace)
     else:
-        rec_trace = RecursionTrace() if trace else None
+        rec_trace = [] if trace else None
         chi = recursive_color_edges(g, Random(seed), trace=rec_trace)
     wall = time.perf_counter_ns() - t0
     levels = collect_level_stats(rec_trace) if rec_trace is not None else None
     return RunResult(algorithm, chi, wall // 1000, level_stats=levels, step_traces=steps)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one run reports; ``wall_us`` is the only timing field.
-
-    ``ok`` means the output is a total proper coloring within the
-    ``max_degree + 1`` palette, per the independent verification scan.
-    """
-
-    schema_version: int
-    input: dict
-    algorithm: str
-    seed: int
-    wall_us: int
-    n: int
-    m: int
-    max_degree: int
-    weight: int
-    degeneracy: int
-    palette: int
-    colors_used: int
-    max_color: int
-    uncolored: int
-    proper: bool
-    ok: bool
-    level_stats: list[dict] | None = None
-    step_summary: dict | None = None
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        if data["level_stats"] is None:
-            del data["level_stats"]
-        if data["step_summary"] is None:
-            del data["step_summary"]
-        return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def summarize_steps(steps: list[StepTrace]) -> dict:
@@ -111,34 +71,36 @@ def summarize_steps(steps: list[StepTrace]) -> dict:
     }
 
 
-def build_report(g: Graph, result: RunResult, seed: int, input_desc: dict) -> RunReport:
-    """Assemble the report for a finished run, re-verifying its output."""
+def build_report(g: Graph, result: RunResult, seed: int, input_desc: dict) -> dict:
+    """The report of a finished run, as printed by ``edgecolor color``.
+
+    The output is re-verified by an independent scan: ``ok`` means it is
+    a total proper coloring within the ``max_degree + 1`` palette.
+    ``wall_us`` is the only timing field.  Traced runs add
+    ``level_stats`` (recursive) or ``step_summary`` (color-edges).
+    """
     stats = graph_stats(g)
     verdict: ColoringReport = verify_colors(g, result.chi.color, result.chi.k)
-    ok = verdict.proper and verdict.uncolored == 0 and verdict.max_color <= g.max_degree + 1
-    level_stats = None
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "input": input_desc,
+        "algorithm": result.algorithm,
+        "seed": seed,
+        "wall_us": result.wall_us,
+        "n": g.n,
+        "m": g.m,
+        "max_degree": stats.max_degree,
+        "weight": stats.graph_weight,
+        "degeneracy": stats.degeneracy,
+        "palette": result.chi.k,
+        "colors_used": verdict.colors_used,
+        "max_color": verdict.max_color,
+        "uncolored": verdict.uncolored,
+        "proper": verdict.proper,
+        "ok": verdict.proper and verdict.uncolored == 0 and verdict.max_color <= g.max_degree + 1,
+    }
     if result.level_stats is not None:
-        level_stats = [asdict(ls) for ls in result.level_stats]
-    step_summary = None
+        report["level_stats"] = result.level_stats
     if result.step_traces:
-        step_summary = summarize_steps(result.step_traces)
-    return RunReport(
-        schema_version=SCHEMA_VERSION,
-        input=input_desc,
-        algorithm=result.algorithm,
-        seed=seed,
-        wall_us=result.wall_us,
-        n=g.n,
-        m=g.m,
-        max_degree=stats.max_degree,
-        weight=stats.graph_weight,
-        degeneracy=stats.degeneracy,
-        palette=result.chi.k,
-        colors_used=verdict.colors_used,
-        max_color=verdict.max_color,
-        uncolored=verdict.uncolored,
-        proper=verdict.proper,
-        ok=ok,
-        level_stats=level_stats,
-        step_summary=step_summary,
-    )
+        report["step_summary"] = summarize_steps(result.step_traces)
+    return report

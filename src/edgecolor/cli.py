@@ -141,11 +141,11 @@ def cmd_color(args: argparse.Namespace) -> int:
             for step in result.step_traces:
                 fh.write(json.dumps(dataclasses.asdict(step), sort_keys=True) + "\n")
 
-    text = report.to_json()
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.report is not None:
         args.report.write_text(text)
-    return 0 if report.ok else 1
+    return 0 if report["ok"] else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -120,11 +120,7 @@ class PartialColoring:
                 chi.color = colors
                 chi.uncolored = []
                 return chi
-        chi = PartialColoring(g)
-        for e, c in enumerate(colors):
-            if c != UNCOLORED:
-                chi.assign(e, c)
-        return chi
+        return _filled(g, colors)
 
     # -- basic queries ------------------------------------------------
 
@@ -280,6 +276,15 @@ class PartialColoring:
 _INDEX = frozenset(("occupied", "_free", "_free_pos", "_ind"))
 
 
+def _filled(g: Graph, colors: list[int]) -> PartialColoring:
+    """An empty coloring of ``g`` filled by checked assignment in edge-id order."""
+    chi = PartialColoring(g)
+    for e, c in enumerate(colors):
+        if c != UNCOLORED:
+            chi.assign(e, c)
+    return chi
+
+
 class _Unindexed(PartialColoring):
     """A total coloring from :meth:`PartialColoring.from_colors`, index unbuilt.
 
@@ -296,9 +301,7 @@ class _Unindexed(PartialColoring):
     def __getattr__(self, name: str):
         if name not in _INDEX:
             raise AttributeError(name)
-        built = PartialColoring(self.g)
-        for e, c in enumerate(self.color):
-            built.assign(e, c)
+        built = _filled(self.g, self.color)
         self.occupied = built.occupied
         self._free = built._free
         self._free_pos = built._free_pos

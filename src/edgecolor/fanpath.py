@@ -126,20 +126,20 @@ def maximal_alternating_path(
 
     ``c0`` must be missing at ``start``, so the walk leaves along a
     ``c1`` edge if one exists (otherwise the path is empty) and then
-    alternates.  The walk cannot revisit a vertex - interior vertices are
-    entered on one of the two colors and left on the other, and the start
-    vertex has no ``c0`` edge to re-enter on - but this is asserted
-    rather than assumed, since it is exactly the property that makes the
-    flip safe.  Runs in O(length).
+    alternates.  On a proper coloring the walk cannot revisit a vertex -
+    interior vertices are entered on one of the two colors and left on
+    the other, and the start vertex has no ``c0`` edge to re-enter on.
+    A corrupt index could still make it cycle, so a walk longer than the
+    vertex count raises instead of hanging.  Runs in O(length).
     """
     if c0 == c1:
         raise ValueError("alternating path needs two distinct colors")
     if not chi.is_missing(start, c0):
         raise ValueError(f"color {c0} must be missing at start vertex {start}")
     occupied = chi.occupied
+    n = g.n
     vertices = [start]
     edge_ids: list[int] = []
-    seen = {start}
     cur = start
     want = c1
     while True:
@@ -147,11 +147,11 @@ def maximal_alternating_path(
         if e is None:
             return AlternatingPath(vertices, edge_ids, c0, c1)
         nxt = g.other_endpoint(e, cur)
-        if nxt in seen:
-            raise RuntimeError(f"alternating walk revisited vertex {nxt}: coloring is corrupt")
         vertices.append(nxt)
+        if len(vertices) > n:
+            raise RuntimeError(f"alternating walk from {start} revisits a vertex: "
+                               "coloring is corrupt")
         edge_ids.append(e)
-        seen.add(nxt)
         cur = nxt
         want = c0 if want == c1 else c1
 

@@ -21,7 +21,7 @@ which keeps repair cheap on every level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .coloring import UNCOLORED, ColorConflictError, PartialColoring
@@ -77,9 +77,8 @@ def euler_partition(g: Graph) -> EulerSplit:
     the vertex's lighter side; this choice is what keeps the +-1 degree
     bounds.  Deterministic for a given graph.
     """
-    side = bytearray(g.m)
+    side = bytearray(b"\x02" * g.m)  # 2 until the walk takes the edge
     imbalance = [0] * g.n  # (left degree - right degree) so far
-    used = bytearray(g.m)
     cursor = [0] * g.n
     rem = list(g.degree)
     adjacency = g.adjacency
@@ -93,7 +92,7 @@ def euler_partition(g: Graph) -> EulerSplit:
         while True:
             adj = adjacency[cur]
             i = cursor[cur]
-            while i < len(adj) and used[adj[i]]:
+            while i < len(adj) and side[adj[i]] < 2:
                 i += 1
             cursor[cur] = i
             if i == len(adj):
@@ -101,7 +100,6 @@ def euler_partition(g: Graph) -> EulerSplit:
             e = adj[i]
             a, b = endpoints[e]
             nxt = b if a == cur else a
-            used[e] = 1
             side[e] = s
             s ^= 1
             rem[cur] -= 1
@@ -241,35 +239,6 @@ class RecursionNode:
     pruned_weight: int | None
 
 
-@dataclass
-class RecursionTrace:
-    """Trace of a recursive run: every node, children before parents.
-
-    The root is the one node at level 0; its vertices are ``0..n-1``.
-    """
-
-    nodes: list[RecursionNode] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class LevelStats:
-    """Per-level aggregates of a traced run, with invariant findings.
-
-    ``delta_ref`` and ``weight_ref`` are the ideal halving references
-    ``max_degree / 2^level`` and ``weight / 2^level`` of the root.  The
-    recorded violations cover: per-subgraph max degree within +-2 of
-    ``delta_ref``; per-vertex degrees within +-2 of the halved original
-    degree; level weight sum at most ``weight_ref + 2 * m``.
-    """
-
-    level: int
-    subgraphs: list[tuple[int, int, int]]  # (max_degree, weight, m) per node
-    total_weight: int
-    delta_ref: float
-    weight_ref: float
-    violations: list[str]
-
-
 def recursion_threshold(root_n: int) -> float:
     """Max degree below which a subproblem is colored directly."""
     if root_n < 2:
@@ -278,7 +247,7 @@ def recursion_threshold(root_n: int) -> float:
 
 
 def recursive_color_edges(
-    g: Graph, rng: Random, trace: RecursionTrace | None = None
+    g: Graph, rng: Random, trace: list[RecursionNode] | None = None
 ) -> PartialColoring:
     """Color all edges with at most ``max_degree + 1`` colors recursively.
 
@@ -287,6 +256,8 @@ def recursive_color_edges(
     *top-level* graph; ties go to the base case.  Children consume
     independent random streams seeded from the parent stream, so a fixed
     seed reproduces the run no matter how the children are scheduled.
+    A ``trace`` list gets every node appended, children before parents,
+    so the root, the one node at level 0 with vertices ``0..n-1``, is last.
     """
     vmap = list(range(g.n)) if trace is not None else None
     return _recurse(g, rng, trace, recursion_threshold(g.n), vmap, 0)
@@ -306,7 +277,7 @@ def recursive_color_edges(
 def _recurse(
     g: Graph,
     rng: Random,
-    trace: RecursionTrace | None,
+    trace: list[RecursionNode] | None,
     threshold: float,
     vmap: list[int] | None,
     level: int,
@@ -329,7 +300,7 @@ def _recurse(
         if trace is not None:
             pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
     if trace is not None:
-        trace.nodes.append(
+        trace.append(
             RecursionNode(
                 level=level,
                 m=g.m,
@@ -346,16 +317,24 @@ def _recurse(
     return chi
 
 
-def collect_level_stats(trace: RecursionTrace) -> list[LevelStats]:
+def collect_level_stats(trace: list[RecursionNode]) -> list[dict]:
     """Aggregate a recursion trace per level and check the halving bounds.
 
-    All comparisons are exact integer arithmetic (scaled by 2^level), so
-    no floating-point slack is involved.
+    One dict per level, in level order: ``subgraphs`` holds
+    ``(max_degree, weight, m)`` per node, and ``delta_ref`` and
+    ``weight_ref`` are the ideal halving references ``max_degree / 2^level``
+    and ``weight / 2^level`` of the root.  The recorded ``violations``
+    cover: per-subgraph max degree within +-2 of ``delta_ref``; per-vertex
+    degrees within +-2 of the halved original degree; level weight sum at
+    most ``weight_ref + 2 * m``; a vertex of original degree above
+    ``2^(level+1)`` absent from a subgraph.  All comparisons are exact
+    integer arithmetic (scaled by 2^level), so no floating-point slack is
+    involved.
     """
-    if not trace.nodes:
+    if not trace:
         return []
     by_level: dict[int, list[RecursionNode]] = {}
-    for node in trace.nodes:
+    for node in trace:
         by_level.setdefault(node.level, []).append(node)
     root = by_level[0][0]
     root_degrees = root.degrees
@@ -365,7 +344,7 @@ def collect_level_stats(trace: RecursionTrace) -> list[LevelStats]:
     heavy = sorted(
         (v for v in root.vertices if root_degrees[v] > 0), key=lambda v: -root_degrees[v]
     )
-    stats: list[LevelStats] = []
+    stats: list[dict] = []
     for level in sorted(by_level):
         nodes = by_level[level]
         scale = 1 << level
@@ -400,14 +379,12 @@ def collect_level_stats(trace: RecursionTrace) -> list[LevelStats]:
                         f"level {level} subgraph {idx}: vertex {v} with original "
                         f"degree {root_degrees[v]} is absent"
                     )
-        stats.append(
-            LevelStats(
-                level=level,
-                subgraphs=[(n.max_degree, n.weight, n.m) for n in nodes],
-                total_weight=total_weight,
-                delta_ref=root.max_degree / scale,
-                weight_ref=root.weight / scale,
-                violations=violations,
-            )
-        )
+        stats.append({
+            "level": level,
+            "subgraphs": [(n.max_degree, n.weight, n.m) for n in nodes],
+            "total_weight": total_weight,
+            "delta_ref": root.max_degree / scale,
+            "weight_ref": root.weight / scale,
+            "violations": violations,
+        })
     return stats

@@ -26,7 +26,7 @@ from edgecolor.oracles import (
     exhaustive_extend_suite,
     sample_partial_coloring,
 )
-from edgecolor.recursive import RecursionTrace, collect_level_stats, euler_partition, recursive_color_edges
+from edgecolor.recursive import collect_level_stats, euler_partition, recursive_color_edges
 from edgecolor.sequential import color_one_edge
 
 THREE_ALGORITHMS = ("naive", "color-edges", "recursive")
@@ -159,7 +159,7 @@ def traced_recursive_runs():
     runs = []
     for spec, seed in configs:
         g = generate(spec)
-        trace = RecursionTrace()
+        trace = []
         chi = recursive_color_edges(g, Random(seed), trace=trace)
         runs.append((spec.family, g, trace, chi))
     return runs
@@ -171,7 +171,7 @@ def test_criterion_05_recursion_level_invariants(traced_recursive_runs):
     for family, g, trace, _chi in traced_recursive_runs:
         for level in collect_level_stats(trace):
             levels_checked += 1
-            violations.extend(f"{family}: {v}" for v in level.violations)
+            violations.extend(f"{family}: {v}" for v in level["violations"])
     ok = not violations and levels_checked > 0
     _report(5, "per-level degree/weight invariants on traced runs, n up to 10^4", ok,
             f"{levels_checked} levels across {len(traced_recursive_runs)} runs")
@@ -182,7 +182,7 @@ def test_criterion_06_prune_weight_bound_per_node(traced_recursive_runs):
     bad = []
     internal = 0
     for family, _g, trace, _chi in traced_recursive_runs:
-        for node in trace.nodes:
+        for node in trace:
             if node.is_base:
                 continue
             internal += 1

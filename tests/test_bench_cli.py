@@ -1,5 +1,6 @@
 """Timed runs, their reports and the command-line interface, end to end."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -56,7 +57,7 @@ def test_run_coloring_traces(small_graph):
     assert seq.step_traces is not None and len(seq.step_traces) == g.m
     rec = run_coloring(g, "recursive", seed=1, trace=True)
     assert rec.level_stats is not None
-    assert all(level.violations == [] for level in rec.level_stats)
+    assert all(level["violations"] == [] for level in rec.level_stats)
 
 
 def test_run_coloring_rejects_bad_arguments(small_graph):
@@ -69,8 +70,7 @@ def test_report_determinism_modulo_timing(small_graph):
     dicts = []
     for _ in range(2):
         result = run_coloring(g, "color-edges", seed=9, trace=True)
-        report = build_report(g, result, 9, {"path": "x"})
-        d = report.to_dict()
+        d = build_report(g, result, 9, {"path": "x"})
         d.pop("wall_us")
         dicts.append(d)
     assert dicts[0] == dicts[1]
@@ -290,6 +290,56 @@ def test_cli_trace_files(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["level_stats"] and "violations" in report["level_stats"][0]
     assert not (tmp_path / "t.colors.trace.json").exists()
+
+
+# sha256 of `edgecolor color` stdout (wall_us zeroed) and of the per-step
+# trace file (elapsed_us zeroed), on star-plus-forests n=300, alpha=2,
+# seed 5, colorer seed 1; None where no trace file is written.
+REPORT_DIGESTS = {
+    ("naive", False): (
+        "94b72ba9f802ee89ab205fcb009bba33e98df169cb138f24a0632fd5f7e670ab",
+        None,
+    ),
+    ("naive", True): (
+        "94b72ba9f802ee89ab205fcb009bba33e98df169cb138f24a0632fd5f7e670ab",
+        None,
+    ),
+    ("color-edges", False): (
+        "92e9a586efead811a088a70a7add98aa02b06c5b7d4cb82f39ecf0df5d01c841",
+        None,
+    ),
+    ("color-edges", True): (
+        "e0da943c8318e23ff0f24156ffa31263036e6278f2b63ced34f0497588028d6e",
+        "efd1e698eab935e1556ef590225ac963a6c10ad0198408c3f121db186da6f78a",
+    ),
+    ("recursive", False): (
+        "cfeb17da60e08c1883d60295535292c5334a6ee3a094b805b808795019d2ba47",
+        None,
+    ),
+    ("recursive", True): (
+        "76ec4f41f81993afc1a33352818bb33cdb27e8885ce30dcf85b7225b97e4bb68",
+        None,
+    ),
+}
+
+
+def test_cli_report_and_trace_bytes_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names the input by this relative path
+    assert main(["generate", "--family", "star-plus-forests", "--n", "300",
+                 "--alpha", "2", "--seed", "5", "-o", "g.edges"]) == 0
+    trace_path = tmp_path / "g.colors.trace.jsonl"
+    got = {}
+    for algo, traced in REPORT_DIGESTS:
+        trace_path.unlink(missing_ok=True)
+        argv = ["color", "g.edges", "--algo", algo, "--seed", "1"]
+        assert main(argv + ["--trace"] * traced) == 0
+        out = re.sub(r'"wall_us": \d+', '"wall_us": 0', capsys.readouterr().out)
+        trace = None
+        if trace_path.exists():
+            text = re.sub(r'"elapsed_us": \d+', '"elapsed_us": 0', trace_path.read_text())
+            trace = hashlib.sha256(text.encode()).hexdigest()
+        got[algo, traced] = (hashlib.sha256(out.encode()).hexdigest(), trace)
+    assert got == REPORT_DIGESTS
 
 
 def test_installed_script_runs():

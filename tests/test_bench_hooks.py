@@ -17,7 +17,7 @@ import edgecolor.sequential
 from edgecolor.coloring import PartialColoring
 from edgecolor.generators import gen_star
 from edgecolor.graph import write_edge_list
-from edgecolor.recursive import RecursionTrace, recursive_color_edges
+from edgecolor.recursive import recursive_color_edges
 
 SPANS = Path(__file__).resolve().parents[1] / "edgebench" / "spans.py"
 HOOKED = (
@@ -67,6 +67,6 @@ def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
     assert calls["recursive.repair"] == calls["recursive.split"]
     # The hooked depth is read from _recurse's sixth positional argument;
     # it must be the deepest level of the same run.
-    trace = RecursionTrace()
+    trace = []
     recursive_color_edges(g, Random(1), trace=trace)
-    assert tracer.counts["depth"] == max(node.level for node in trace.nodes) == 3
+    assert tracer.counts["depth"] == max(node.level for node in trace) == 3

@@ -207,6 +207,18 @@ def test_maximal_path_preconditions():
         maximal_alternating_path(P3, chi, 0, c0=1, c1=2)  # c0 not missing at 0
 
 
+def test_maximal_path_raises_on_corrupt_index():
+    # Vertex 2's index claims edge 1 for color 1 too, so the (2, 1) walk
+    # would bounce between vertices 1 and 2 forever; it must raise instead.
+    g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
+    chi = PartialColoring(g)
+    chi.assign(0, 1)
+    chi.assign(1, 2)
+    chi.occupied[2][1] = 1
+    with pytest.raises(RuntimeError, match="coloring is corrupt"):
+        maximal_alternating_path(g, chi, 0, 2, 1)
+
+
 def _assert_is_maximal(g, chi, p):
     """Independent maximality check straight from the definitions."""
     assert len(p.vertices) == len(p.edge_ids) + 1

@@ -1,5 +1,5 @@
-"""The runtime imports the standard library only, starts no processes and
-reads no environment variables.
+"""The runtime imports the standard library only, starts no processes,
+reads no environment variables, and exports only names it defines.
 """
 
 import ast
@@ -48,3 +48,11 @@ def test_runtime_reads_no_environment_variables():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found = [node.lineno for node in ast.walk(tree) if _reads_environment(node)]
         assert not found, f"{path.name} reads the environment on lines {found}"
+
+
+def test_every_export_resolves_once():
+    # A deleted or renamed type must leave __all__ with it.
+    names = edgecolor.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [name for name in names if not hasattr(edgecolor, name)]
+    assert not missing, missing

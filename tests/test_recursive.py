@@ -22,7 +22,6 @@ from edgecolor.recursive import (
     EulerSplit,
     ImproperInputError,
     RecursionNode,
-    RecursionTrace,
     collect_level_stats,
     euler_partition,
     merge_colorings,
@@ -213,34 +212,34 @@ def test_recursion_threshold_values():
 def test_recursive_base_case_on_cycle():
     # max degree 2 never exceeds the threshold, so no split happens
     g = build_graph([(i, (i + 1) % 12) for i in range(12)], 12)
-    trace = RecursionTrace()
+    trace = []
     chi = recursive_color_edges(g, Random(0), trace=trace)
     assert verify_proper(g, chi).proper
     assert chi.uncolored_count == 0
-    assert len(trace.nodes) == 1
-    node = trace.nodes[0]
+    assert len(trace) == 1
+    node = trace[0]
     assert node.is_base and node.level == 0
     assert node.merged_palette is None and node.pruned_weight is None
 
 
 def test_recursive_star_splits():
     g = gen_star(101)
-    trace = RecursionTrace()
+    trace = []
     chi = recursive_color_edges(g, Random(3), trace=trace)
     rep = verify_proper(g, chi)
     assert rep.proper and rep.uncolored == 0
     assert rep.max_color <= g.max_degree + 1
-    root = trace.nodes[-1]
+    root = trace[-1]
     assert root.level == 0 and not root.is_base
-    assert any(node.level > 0 for node in trace.nodes)
+    assert any(node.level > 0 for node in trace)
     assert g.max_degree + 2 <= root.merged_palette <= g.max_degree + 4
 
 
 def test_recursive_node_invariants():
     g = gen_preferential_attachment(1500, 8, seed=5)
-    trace = RecursionTrace()
+    trace = []
     recursive_color_edges(g, Random(11), trace=trace)
-    internal = [node for node in trace.nodes if not node.is_base]
+    internal = [node for node in trace if not node.is_base]
     assert internal, "expected at least one split on a heavy-tailed graph"
     for node in internal:
         assert node.max_degree + 2 <= node.merged_palette <= node.max_degree + 4
@@ -272,9 +271,9 @@ def test_recursive_seed_determinism():
     g = gen_erdos_renyi(600, 6000, seed=2)
     runs = []
     for _ in range(2):
-        trace = RecursionTrace()
+        trace = []
         chi = recursive_color_edges(g, Random(77), trace=trace)
-        runs.append((chi.color[:], [(n.level, n.m, n.pruned_weight) for n in trace.nodes]))
+        runs.append((chi.color[:], [(n.level, n.m, n.pruned_weight) for n in trace]))
     assert runs[0] == runs[1]
     other = recursive_color_edges(g, Random(78))
     assert other.color != runs[0][0]
@@ -296,11 +295,11 @@ def test_one_coloring_per_recursion_node(monkeypatch):
         (gen_preferential_attachment(1000, 10, seed=4), True),
     ):
         builds.clear()
-        trace = RecursionTrace()
+        trace = []
         chi = recursive_color_edges(g, Random(1), trace=trace)
         # A base node colors every edge and a merged node only what its
         # prune left uncolored; only a node that colors builds an index.
-        colors_here = [node.is_base or node.pruned_weight > 0 for node in trace.nodes]
+        colors_here = [node.is_base or node.pruned_weight > 0 for node in trace]
         assert colors_here.count(False) == (0 if merged_nodes_color else 63)
         assert len(builds) == colors_here.count(True)
         assert (type(chi) is PartialColoring) == merged_nodes_color
@@ -368,54 +367,52 @@ def test_level_stats_on_clean_runs():
         (gen_preferential_attachment(1500, 8, seed=3), 22),
         (gen_erdos_renyi(500, 7000, seed=1), 23),
     ):
-        trace = RecursionTrace()
+        trace = []
         recursive_color_edges(g, Random(seed), trace=trace)
         stats = collect_level_stats(trace)
-        assert stats and stats[0].level == 0
-        assert stats[0].delta_ref == g.max_degree
-        assert len(stats[0].subgraphs) == 1
+        assert stats and stats[0]["level"] == 0
+        assert stats[0]["delta_ref"] == g.max_degree
+        assert len(stats[0]["subgraphs"]) == 1
         for level in stats:
-            assert level.violations == []
+            assert level["violations"] == []
         # levels halve the degree reference
         for a, b in zip(stats, stats[1:]):
-            assert b.delta_ref == pytest.approx(a.delta_ref / 2)
+            assert b["delta_ref"] == pytest.approx(a["delta_ref"] / 2)
 
 
 def test_level_stats_flags_synthetic_violations():
-    trace = RecursionTrace(
-        nodes=[
-            RecursionNode(
-                level=2,
-                m=1,
-                max_degree=10,  # not halved
-                weight=40,  # not halved
-                vertices=[1],  # vertex 0 (degree 10) is missing
-                degrees=[2],
-                is_base=True,
-                merged_palette=None,
-                pruned_weight=None,
-            ),
-            RecursionNode(
-                level=0,
-                m=10,
-                max_degree=10,
-                weight=40,
-                vertices=[0, 1],
-                degrees=[10, 2],
-                is_base=False,
-                merged_palette=None,
-                pruned_weight=None,
-            ),
-        ],
-    )
+    trace = [
+        RecursionNode(
+            level=2,
+            m=1,
+            max_degree=10,  # not halved
+            weight=40,  # not halved
+            vertices=[1],  # vertex 0 (degree 10) is missing
+            degrees=[2],
+            is_base=True,
+            merged_palette=None,
+            pruned_weight=None,
+        ),
+        RecursionNode(
+            level=0,
+            m=10,
+            max_degree=10,
+            weight=40,
+            vertices=[0, 1],
+            degrees=[10, 2],
+            is_base=False,
+            merged_palette=None,
+            pruned_weight=None,
+        ),
+    ]
     root_stats, stats = collect_level_stats(trace)
-    assert root_stats.level == 0 and root_stats.violations == []
-    assert stats.level == 2
-    text = "\n".join(stats.violations)
+    assert root_stats["level"] == 0 and root_stats["violations"] == []
+    assert stats["level"] == 2
+    text = "\n".join(stats["violations"])
     assert "max degree" in text
     assert "weight sum" in text
     assert "is absent" in text
 
 
 def test_level_stats_empty_trace():
-    assert collect_level_stats(RecursionTrace()) == []
+    assert collect_level_stats([]) == []
