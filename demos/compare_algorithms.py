@@ -18,7 +18,7 @@ def main():
     print("-" * len(header))
     for algo in ALGORITHMS:
         result = run_coloring(g, algo, seed=7)
-        report = build_report(g, result, 7, spec.to_dict())
+        report = build_report(g, result, spec.to_dict())
         print(
             f"{algo:12} {report['wall_us'] / 1000:9.1f} {report['palette']:8}"
             f" {report['colors_used']:5} {report['max_color']:4} {report['ok']}"

@@ -55,7 +55,6 @@ from .recursive import (
     recursive_color_edges,
 )
 from .sequential import (
-    StepTrace,
     color_edges,
     color_edges_deterministic,
     color_one_edge,
@@ -78,7 +77,6 @@ __all__ = [
     "InfeasibleSpecError",
     "PartialColoring",
     "RunResult",
-    "StepTrace",
     "build_graph",
     "build_report",
     "collect_level_stats",

@@ -10,7 +10,6 @@ from the algorithm's own bookkeeping.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 from random import Random
@@ -18,7 +17,7 @@ from random import Random
 from .coloring import ColoringReport, PartialColoring, verify_colors
 from .graph import Graph, graph_stats
 from .recursive import collect_level_stats, recursive_color_edges
-from .sequential import StepTrace, color_edges, color_edges_deterministic
+from .sequential import color_edges, color_edges_deterministic
 
 SCHEMA_VERSION = 1
 
@@ -30,10 +29,11 @@ class RunResult:
     """Raw outcome of one timed coloring call."""
 
     algorithm: str
+    seed: int
     chi: PartialColoring
     wall_us: int
     level_stats: list[dict] | None = None
-    step_traces: list[StepTrace] | None = None
+    step_summary: dict | None = None
 
 
 def run_coloring(g: Graph, algorithm: str, seed: int, trace: bool = False) -> RunResult:
@@ -46,38 +46,38 @@ def run_coloring(g: Graph, algorithm: str, seed: int, trace: bool = False) -> Ru
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    steps = rec_trace = None
+    work = rec_trace = None
     t0 = time.perf_counter_ns()
     if algorithm == "naive":
         chi = PartialColoring(g)
-        color_edges_deterministic(g, chi)
+        work = color_edges_deterministic(g, chi)
     elif algorithm == "color-edges":
         chi = PartialColoring(g)
-        steps = color_edges(g, chi, Random(seed), trace=trace)
+        work = color_edges(g, chi, Random(seed))
     else:
         rec_trace = [] if trace else None
         chi = recursive_color_edges(g, Random(seed), trace=rec_trace)
     wall = time.perf_counter_ns() - t0
     levels = collect_level_stats(rec_trace) if rec_trace is not None else None
-    return RunResult(algorithm, chi, wall // 1000, level_stats=levels, step_traces=steps)
+    summary = None
+    if trace and work is not None and work[0]:
+        steps, fans, paths = work
+        summary = {
+            "calls": steps,
+            "mean_fan_size": round(fans / steps, 6),
+            "mean_path_length": round(paths / steps, 6),
+        }
+    return RunResult(algorithm, seed, chi, wall // 1000, levels, summary)
 
 
-def summarize_steps(steps: list[StepTrace]) -> dict:
-    """Mean fan size and path length over a step trace (no timing)."""
-    return {
-        "calls": len(steps),
-        "mean_fan_size": round(statistics.fmean(s.fan_size for s in steps), 6),
-        "mean_path_length": round(statistics.fmean(s.path_length for s in steps), 6),
-    }
-
-
-def build_report(g: Graph, result: RunResult, seed: int, input_desc: dict) -> dict:
+def build_report(g: Graph, result: RunResult, input_desc: dict) -> dict:
     """The report of a finished run, as printed by ``edgecolor color``.
 
     The output is re-verified by an independent scan: ``ok`` means it is
     a total proper coloring within the ``max_degree + 1`` palette.
     ``wall_us`` is the only timing field.  Traced runs add
-    ``level_stats`` (recursive) or ``step_summary`` (color-edges).
+    ``level_stats`` (recursive) or, when a step ran, ``step_summary``
+    (naive, color-edges: steps, mean fan size and mean path length).
     """
     stats = graph_stats(g)
     verdict: ColoringReport = verify_colors(g, result.chi.color, result.chi.k)
@@ -85,7 +85,7 @@ def build_report(g: Graph, result: RunResult, seed: int, input_desc: dict) -> di
         "schema_version": SCHEMA_VERSION,
         "input": input_desc,
         "algorithm": result.algorithm,
-        "seed": seed,
+        "seed": result.seed,
         "wall_us": result.wall_us,
         "n": g.n,
         "m": g.m,
@@ -101,6 +101,6 @@ def build_report(g: Graph, result: RunResult, seed: int, input_desc: dict) -> di
     }
     if result.level_stats is not None:
         report["level_stats"] = result.level_stats
-    if result.step_traces:
-        report["step_summary"] = summarize_steps(result.step_traces)
+    if result.step_summary is not None:
+        report["step_summary"] = result.step_summary
     return report

@@ -18,7 +18,6 @@ The seed is ``--seed``, 0 by default.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -85,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coloring dump path (default: input with .colors suffix)")
     p.add_argument("--report", type=Path, help="also write the JSON report here")
     p.add_argument("--trace", action="store_true",
-                   help="collect per-step or per-level traces (slower; adds "
-                   "summaries to the report; color-edges also writes a per-step trace file)")
+                   help="add step summaries (naive, color-edges) or level stats "
+                   "(recursive) to the report")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a coloring dump against its graph")
@@ -122,10 +121,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_color(args: argparse.Namespace) -> int:
     dump_path = args.dump if args.dump is not None else args.input.with_suffix(".colors")
-    trace_path = Path(str(dump_path) + ".trace.jsonl")
-    named = [("the input file", args.input), ("the dump", dump_path),
-             ("the trace", trace_path if args.trace else None), ("the report", args.report)]
-    named = [(what, path) for what, path in named if path is not None]
+    named = [("the input file", args.input), ("the dump", dump_path)]
+    if args.report is not None:
+        named.append(("the report", args.report))
     for i, (_, out) in enumerate(named):
         for what, earlier in named[:i]:
             if _same_file(out, earlier):
@@ -133,14 +131,8 @@ def cmd_color(args: argparse.Namespace) -> int:
     with _open_input(args.input) as fh:
         g = read_edge_list(fh)
     result = run_coloring(g, args.algo, args.seed, trace=args.trace)
-    report = build_report(g, result, args.seed, {"path": str(args.input)})
-
+    report = build_report(g, result, {"path": str(args.input)})
     dump_path.write_text(format_coloring(result.chi))
-    if result.step_traces is not None:
-        with trace_path.open("w") as fh:
-            for step in result.step_traces:
-                fh.write(json.dumps(dataclasses.asdict(step), sort_keys=True) + "\n")
-
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.report is not None:

@@ -251,7 +251,8 @@ def read_edge_list(source: str | TextIO) -> Graph:
     skipped anywhere.  Edges stream into :func:`build_graph` as they are
     read, so reading stops at the first bad line.  Every error names its
     line: a :class:`ParseError`, or an :class:`EdgeError` from
-    :func:`build_graph` with the line prefixed.
+    :func:`build_graph` with the line prefixed.  A header ``n`` above
+    ``2 * m + 2**20`` fails before anything is allocated per vertex.
     """
     pairs = IntPairs(source)
     header = next(pairs, None)
@@ -261,6 +262,10 @@ def read_edge_list(source: str | TextIO) -> Graph:
     header_line = pairs.line_no
     if n < 0 or m < 0:
         raise ParseError(header_line, "header counts must be non-negative")
+    # Only isolated vertices lie beyond 2m, so this bounds the per-vertex
+    # memory build_graph allocates by the edges plus a fixed slack.
+    if n > 2 * m + 2**20:
+        raise ParseError(header_line, f"header n={n} exceeds 2*m + {2**20}")
     try:
         g = build_graph(islice(pairs, m), n)
     except EdgeError as exc:

@@ -14,25 +14,11 @@ same fan/path machinery, no randomness.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from random import Random
 
 from .coloring import AlreadyColoredError, PartialColoring, UNCOLORED
 from .fanpath import extend_coloring, make_primed_fan, maximal_alternating_path
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class StepTrace:
-    """Record of one single-edge coloring step."""
-
-    edge: int
-    center: int
-    fan_size: int
-    path_length: int
-    missing_color: int
-    elapsed_us: int
 
 
 def _pipeline(
@@ -48,16 +34,11 @@ def _pipeline(
     return fan.size, 0 if path is None else path.length
 
 
-def color_one_edge(
-    g: Graph, chi: PartialColoring, rng: Random, trace: bool = False
-) -> StepTrace | None:
-    """Color one uniformly random uncolored edge.
+def color_one_edge(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, int]:
+    """Color one uniformly random uncolored edge; returns (fan size, path length).
 
     Raises ``NoUncoloredEdgesError`` when the coloring is already total.
-    Returns a :class:`StepTrace` when ``trace`` is set, else None (the
-    untraced path takes no timestamps and allocates nothing extra).
     """
-    t0 = time.perf_counter_ns() if trace else 0
     edge = chi.random_uncolored_edge(rng)
     a, b = g.endpoints[edge]
     deg = g.degree
@@ -65,45 +46,48 @@ def color_one_edge(
     # fan size is bounded by the edge weight.
     center = a if (deg[a], a) <= (deg[b], b) else b
     c0 = chi.random_missing_color(center, rng)
-    fan_size, path_length = _pipeline(g, chi, edge, center, c0)
-    if not trace:
-        return None
-    elapsed_us = (time.perf_counter_ns() - t0) // 1000
-    return StepTrace(edge, center, fan_size, path_length, c0, elapsed_us)
+    return _pipeline(g, chi, edge, center, c0)
 
 
-def color_edges(
-    g: Graph, chi: PartialColoring, rng: Random, trace: bool = False
-) -> list[StepTrace] | None:
+def color_edges(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, int, int]:
     """Color all uncolored edges by repeated random single-edge steps.
 
-    Returns one :class:`StepTrace` per step when ``trace`` is set, else None.
+    Returns (steps, total fan size, total path length).
     """
-    steps: list[StepTrace] | None = [] if trace else None
+    steps = fans = paths = 0
     while chi.uncolored:
-        step = color_one_edge(g, chi, rng, trace)
-        if steps is not None:
-            steps.append(step)
-    return steps
+        fan_size, path_length = color_one_edge(g, chi, rng)
+        steps += 1
+        fans += fan_size
+        paths += path_length
+    return steps, fans, paths
 
 
-def color_one_edge_deterministic(g: Graph, chi: PartialColoring, edge: int) -> None:
+def color_one_edge_deterministic(g: Graph, chi: PartialColoring, edge: int) -> tuple[int, int]:
     """Color a specific uncolored edge with deterministic choices.
 
     The center is the lower endpoint id and the path color is the head
-    of the center's free list.  Raises :class:`AlreadyColoredError` for a
-    colored edge.
+    of the center's free list.  Returns (fan size, path length).  Raises
+    :class:`AlreadyColoredError` for a colored edge.
     """
     if chi.color[edge] != UNCOLORED:
         raise AlreadyColoredError(edge, chi.color[edge])
     a, b = g.endpoints[edge]
     center = a if a < b else b
     c0 = chi.some_missing_color(center)
-    _pipeline(g, chi, edge, center, c0)
+    return _pipeline(g, chi, edge, center, c0)
 
 
-def color_edges_deterministic(g: Graph, chi: PartialColoring) -> None:
-    """Deterministic full pass: edges in id order, fixed choices throughout."""
+def color_edges_deterministic(g: Graph, chi: PartialColoring) -> tuple[int, int, int]:
+    """Deterministic full pass: edges in id order, fixed choices throughout.
+
+    Returns (steps, total fan size, total path length).
+    """
+    steps = fans = paths = 0
     for edge in range(g.m):
         if chi.color[edge] == UNCOLORED:
-            color_one_edge_deterministic(g, chi, edge)
+            fan_size, path_length = color_one_edge_deterministic(g, chi, edge)
+            steps += 1
+            fans += fan_size
+            paths += path_length
+    return steps, fans, paths

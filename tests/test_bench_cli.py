@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 import edgecolor
 from _util import graphs
-from edgecolor.bench import ALGORITHMS, build_report, run_coloring, summarize_steps
+from edgecolor.bench import ALGORITHMS, build_report, run_coloring
 from edgecolor.cli import main
 from edgecolor.coloring import validate_structures, verify_colors, verify_proper
 from edgecolor.generators import gen_star_plus_forests
 from edgecolor.graph import build_graph
-from edgecolor.sequential import StepTrace
 
 
 @pytest.fixture()
@@ -32,7 +31,7 @@ def test_run_coloring_all_algorithms(small_graph):
     g = small_graph
     for algo in ALGORITHMS:
         result = run_coloring(g, algo, seed=5)
-        assert result.algorithm == algo
+        assert result.algorithm == algo and result.seed == 5
         assert result.wall_us >= 0
         rep = verify_proper(g, result.chi)
         assert rep.proper and rep.uncolored == 0
@@ -53,10 +52,12 @@ def test_every_algorithm_on_random_small_graphs(g, seed):
 
 def test_run_coloring_traces(small_graph):
     g = small_graph
-    seq = run_coloring(g, "color-edges", seed=1, trace=True)
-    assert seq.step_traces is not None and len(seq.step_traces) == g.m
+    for algo in ("naive", "color-edges"):
+        seq = run_coloring(g, algo, seed=1, trace=True)
+        assert seq.step_summary["calls"] == g.m and seq.level_stats is None
+        assert run_coloring(g, algo, seed=1).step_summary is None
     rec = run_coloring(g, "recursive", seed=1, trace=True)
-    assert rec.level_stats is not None
+    assert rec.level_stats is not None and rec.step_summary is None
     assert all(level["violations"] == [] for level in rec.level_stats)
 
 
@@ -70,25 +71,14 @@ def test_report_determinism_modulo_timing(small_graph):
     dicts = []
     for _ in range(2):
         result = run_coloring(g, "color-edges", seed=9, trace=True)
-        d = build_report(g, result, 9, {"path": "x"})
+        d = build_report(g, result, {"path": "x"})
         d.pop("wall_us")
         dicts.append(d)
     assert dicts[0] == dicts[1]
     assert dicts[0]["ok"] and dicts[0]["proper"]
     assert dicts[0]["schema_version"] == 1
+    assert dicts[0]["seed"] == 9
     assert dicts[0]["step_summary"]["calls"] == g.m
-
-
-def test_summarize_steps():
-    steps = [
-        StepTrace(edge=0, center=0, fan_size=1, path_length=0, missing_color=1, elapsed_us=5),
-        StepTrace(edge=1, center=2, fan_size=3, path_length=4, missing_color=2, elapsed_us=7),
-    ]
-    assert summarize_steps(steps) == {
-        "calls": 2,
-        "mean_fan_size": 2.0,
-        "mean_path_length": 2.0,
-    }
 
 
 # -- command-line interface ----------------------------------------------------
@@ -180,9 +170,7 @@ def test_cli_color_refuses_to_overwrite_its_input(tmp_path, capsys):
     graph_path = _generate(tmp_path)
     text = graph_path.read_text()
     colors_input = tmp_path / "g.colors"  # its default dump path is itself
-    trace_input = tmp_path / "t.colors.trace.jsonl"
-    for path in (colors_input, trace_input):
-        path.write_text(text)
+    colors_input.write_text(text)
     link = tmp_path / "link.edges"
     link.symlink_to(graph_path)
     other = str(tmp_path / "d.colors")
@@ -191,7 +179,6 @@ def test_cli_color_refuses_to_overwrite_its_input(tmp_path, capsys):
         [str(graph_path), "--dump", str(graph_path)],
         [str(graph_path), "--dump", str(link)],
         [str(graph_path), "--dump", other, "--report", str(graph_path)],
-        [str(trace_input), "--dump", str(tmp_path / "t.colors"), "--trace"],
     ):
         assert main(["color", *argv]) == 2, argv
         captured = capsys.readouterr()
@@ -215,18 +202,13 @@ def test_cli_color_refuses_outputs_that_name_one_file(tmp_path, capsys):
         (["--dump", str(out), "--report", str(out)], "the dump"),
         (["--dump", str(out), "--report", str(dangling)], "the dump"),
         (["--dump", str(kept), "--report", str(hard)], "the dump"),
-        (["--dump", str(out), "--trace", "--report", str(out) + ".trace.jsonl"], "the trace"),
     ):
         assert main(["color", str(graph_path), *argv]) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(rf"error: output path \S+ would overwrite {clash}\n", captured.err)
-        assert not out.exists() and not Path(str(out) + ".trace.jsonl").exists()
+        assert not out.exists()
         assert kept.read_text() == "kept\n"
-    # the trace file is written only with --trace, so it may share a name then
-    trace_name = str(out) + ".trace.jsonl"
-    assert main(["color", str(graph_path), "--dump", str(out), "--report", trace_name]) == 0
-    assert Path(trace_name).read_text() == capsys.readouterr().out
 
 
 def test_cli_color_report_and_dump_paths(tmp_path, capsys):
@@ -273,52 +255,50 @@ def test_cli_color_determinism(tmp_path, capsys):
 
 
 def test_cli_trace_files(tmp_path, capsys):
+    # --trace only adds to the report: it writes no file of its own.
     graph_path = _generate(tmp_path)
     dump = tmp_path / "t.colors"
-    assert main(["color", str(graph_path), "--algo", "color-edges",
-                 "--seed", "5", "--dump", str(dump), "--trace"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    jsonl = tmp_path / "t.colors.trace.jsonl"
-    lines = jsonl.read_text().splitlines()
-    assert len(lines) == report["m"]
-    first = json.loads(lines[0])
-    assert set(first) == {"edge", "center", "fan_size", "path_length",
-                          "missing_color", "elapsed_us"}
+    for algo in ("naive", "color-edges"):
+        assert main(["color", str(graph_path), "--algo", algo,
+                     "--seed", "5", "--dump", str(dump), "--trace"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["step_summary"]["calls"] == report["m"], algo
+        assert report["step_summary"]["mean_fan_size"] >= 1, algo
 
     assert main(["color", str(graph_path), "--algo", "recursive",
                  "--seed", "5", "--dump", str(dump), "--trace"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["level_stats"] and "violations" in report["level_stats"][0]
-    assert not (tmp_path / "t.colors.trace.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "t.colors"]
 
 
-# sha256 of `edgecolor color` stdout (wall_us zeroed) and of the per-step
-# trace file (elapsed_us zeroed), on star-plus-forests n=300, alpha=2,
-# seed 5, colorer seed 1; None where no trace file is written.
+# sha256 of `edgecolor color` stdout (wall_us zeroed) and of the coloring
+# dump, on star-plus-forests n=300, alpha=2, seed 5, colorer seed 1.  The
+# dump digest is one per algorithm: --trace leaves the dump unchanged.
 REPORT_DIGESTS = {
     ("naive", False): (
         "94b72ba9f802ee89ab205fcb009bba33e98df169cb138f24a0632fd5f7e670ab",
-        None,
+        "42f044dad16db001f7d759ed43be878a42620a9896d262a910e56c05071db944",
     ),
     ("naive", True): (
-        "94b72ba9f802ee89ab205fcb009bba33e98df169cb138f24a0632fd5f7e670ab",
-        None,
+        "abae3459b4d31ad64adf6fa49d7861849ab36511bc53c59953f53fc460a97f00",
+        "42f044dad16db001f7d759ed43be878a42620a9896d262a910e56c05071db944",
     ),
     ("color-edges", False): (
         "92e9a586efead811a088a70a7add98aa02b06c5b7d4cb82f39ecf0df5d01c841",
-        None,
+        "172924a084cb7a0c67f056a96669add1e0069b289d95eec5aa5dc71c0f6a8f2d",
     ),
     ("color-edges", True): (
         "e0da943c8318e23ff0f24156ffa31263036e6278f2b63ced34f0497588028d6e",
-        "efd1e698eab935e1556ef590225ac963a6c10ad0198408c3f121db186da6f78a",
+        "172924a084cb7a0c67f056a96669add1e0069b289d95eec5aa5dc71c0f6a8f2d",
     ),
     ("recursive", False): (
         "cfeb17da60e08c1883d60295535292c5334a6ee3a094b805b808795019d2ba47",
-        None,
+        "086e6bf1138e280eb045c67ac5cf612f83a33d34c866146d51cc707add1cc81e",
     ),
     ("recursive", True): (
         "76ec4f41f81993afc1a33352818bb33cdb27e8885ce30dcf85b7225b97e4bb68",
-        None,
+        "086e6bf1138e280eb045c67ac5cf612f83a33d34c866146d51cc707add1cc81e",
     ),
 }
 
@@ -327,18 +307,16 @@ def test_cli_report_and_trace_bytes_golden(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the report names the input by this relative path
     assert main(["generate", "--family", "star-plus-forests", "--n", "300",
                  "--alpha", "2", "--seed", "5", "-o", "g.edges"]) == 0
-    trace_path = tmp_path / "g.colors.trace.jsonl"
     got = {}
     for algo, traced in REPORT_DIGESTS:
-        trace_path.unlink(missing_ok=True)
         argv = ["color", "g.edges", "--algo", algo, "--seed", "1"]
         assert main(argv + ["--trace"] * traced) == 0
         out = re.sub(r'"wall_us": \d+', '"wall_us": 0', capsys.readouterr().out)
-        trace = None
-        if trace_path.exists():
-            text = re.sub(r'"elapsed_us": \d+', '"elapsed_us": 0', trace_path.read_text())
-            trace = hashlib.sha256(text.encode()).hexdigest()
-        got[algo, traced] = (hashlib.sha256(out.encode()).hexdigest(), trace)
+        if (algo, traced) == ("naive", True):
+            report = json.loads(out)
+            assert report["step_summary"]["calls"] == report["m"]
+        dump = (tmp_path / "g.colors").read_bytes()
+        got[algo, traced] = tuple(hashlib.sha256(b).hexdigest() for b in (out.encode(), dump))
     assert got == REPORT_DIGESTS
 
 

@@ -7,15 +7,18 @@ of them breaks the benchmark; this catches it without a benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 from random import Random
+
+import pytest
 
 import edgecolor.bench
 import edgecolor.cli
 import edgecolor.recursive
 import edgecolor.sequential
 from edgecolor.coloring import PartialColoring
-from edgecolor.generators import gen_star
+from edgecolor.generators import gen_erdos_renyi, gen_star
 from edgecolor.graph import write_edge_list
 from edgecolor.recursive import recursive_color_edges
 
@@ -36,9 +39,13 @@ def _namespaces():
     return [dict(vars(owner)) for owner in HOOKED]
 
 
-def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
-    graph_path = tmp_path / "star.edges"
-    g = gen_star(40)  # max degree 39: splits
+STAGES = ("graph.read", "run_coloring", "report", "graph.stats", "coloring.verify",
+          "coloring.dump", "coloring.init", "sequential.step", "fanpath.fan", "fanpath.extend")
+
+
+def _hooked_color(tmp_path, capsys, g, algo, *extra):
+    """One hooked ``edgecolor color`` call on ``g``: its tracer and report."""
+    graph_path = tmp_path / "g.edges"
     graph_path.write_text(write_edge_list(g))
     before = _namespaces()
     build_graph = edgecolor.recursive.build_graph
@@ -47,19 +54,23 @@ def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
         tracer.install_stages()
         tracer.install_layers()
         assert edgecolor.recursive.build_graph is not build_graph
-        code = edgecolor.cli.main(["color", str(graph_path), "--algo", "recursive",
-                                   "--seed", "1", "--dump", str(tmp_path / "dump")])
+        code = edgecolor.cli.main(["color", str(graph_path), "--algo", algo, "--seed", "1",
+                                   "--dump", str(tmp_path / "dump"), *extra])
     finally:
         tracer.restore()
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert _namespaces() == before
+    return tracer, report
+
+
+def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
+    g = gen_star(40)  # max degree 39: splits
+    tracer, _report = _hooked_color(tmp_path, capsys, g, "recursive")
     _incl, _own, calls = tracer.totals()
-    for name in ("graph.read", "run_coloring", "report", "graph.stats", "coloring.verify",
-                 "coloring.dump", "coloring.init", "coloring.missing_color", "recursive.node",
-                 "recursive.split", "graph.build", "recursive.merge", "recursive.prune",
-                 "recursive.base", "recursive.repair", "sequential.step", "fanpath.fan",
-                 "fanpath.path", "fanpath.extend"):
+    for name in STAGES + ("coloring.missing_color", "recursive.node", "recursive.split",
+                          "graph.build", "recursive.merge", "recursive.prune",
+                          "recursive.base", "recursive.repair", "fanpath.path"):
         assert calls[name] > 0, name
     # Every recursion node colors through exactly one color_edges call, a
     # base or a repair, and every node that splits repairs.
@@ -70,3 +81,17 @@ def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
     trace = []
     recursive_color_edges(g, Random(1), trace=trace)
     assert tracer.counts["depth"] == max(node.level for node in trace) == 3
+
+
+@pytest.mark.parametrize("algo", ["naive", "color-edges"])
+def test_benchmark_hooks_pass_the_step_work_through(tmp_path, capsys, algo):
+    # The hooked step colorers and single-edge steps must hand back what
+    # the library returns: the traced report sums it into step_summary.
+    g = gen_erdos_renyi(30, 80, seed=2)
+    tracer, report = _hooked_color(tmp_path, capsys, g, algo, "--trace")
+    _incl, _own, calls = tracer.totals()
+    for name in STAGES:
+        assert calls[name] > 0, name
+    assert calls["sequential.step"] == report["step_summary"]["calls"] == g.m
+    assert tracer.counts["fan.sum"] == round(report["step_summary"]["mean_fan_size"] * g.m)
+    assert tracer.counts["path.sum"] == round(report["step_summary"]["mean_path_length"] * g.m)

@@ -1,12 +1,14 @@
 """Graph construction, weights, degeneracy, and edge-list round trips."""
 
 import io
+import tracemalloc
 from random import Random
 
 import pytest
 from hypothesis import given
 
 from _util import graphs, random_graph
+from edgecolor.cli import main
 from edgecolor.generators import gen_forest_union
 from edgecolor.graph import (
     DuplicateEdgeError,
@@ -234,6 +236,29 @@ def test_read_edge_list_stops_at_the_first_bad_line():
     with pytest.raises(SelfLoopError, match="^line 2: "):
         read_edge_list(fh)
     assert fh.readline() == "0 1\n"
+
+
+def test_read_edge_list_bounds_n_by_the_edges(tmp_path, capsys):
+    # Only isolated vertices lie beyond 2m, so a header may declare at
+    # most 2**20 of them; a bigger n fails before any allocation.
+    tracemalloc.start()
+    try:
+        just_over = f"# big\n{2 * 2 + 2**20 + 1} 2\n0 1\n2 3\n"
+        for text, line in (("10000000000 0\n", 1), (just_over, 2)):
+            with pytest.raises(ParseError, match=f"^line {line}: header n=\\d+ exceeds 2\\*m"):
+                read_edge_list(text)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert read_edge_list("5 0\n").n == 5
+    graph_path = tmp_path / "huge.edges"
+    graph_path.write_text("10000000000 0\n")
+    assert main(["color", str(graph_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: header n=10000000000 exceeds 2*m + 1048576\n"
+    )
+    assert not graph_path.with_suffix(".colors").exists()
 
 
 @given(graphs())

@@ -1,4 +1,4 @@
-"""Randomized and deterministic full colorings, step traces."""
+"""Randomized and deterministic full colorings and the work they return."""
 
 import hashlib
 from random import Random
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgecolor.sequential
 from _util import graphs, random_graph, random_partial
 from edgecolor.bench import run_coloring
 from edgecolor.coloring import (
@@ -33,12 +34,26 @@ from edgecolor.sequential import (
 )
 
 
-def test_color_one_edge_single_edge_graph():
+def _record_steps(monkeypatch) -> list[tuple[int, int, int]]:
+    """Record (edge, center, c0) of every step that runs from now on."""
+    steps = []
+    pipeline = edgecolor.sequential._pipeline
+
+    def recording(g, chi, edge, center, c0):
+        steps.append((edge, center, c0))
+        return pipeline(g, chi, edge, center, c0)
+
+    monkeypatch.setattr(edgecolor.sequential, "_pipeline", recording)
+    return steps
+
+
+def test_color_one_edge_single_edge_graph(monkeypatch):
     g = build_graph([(0, 1)], 2)
     chi = PartialColoring(g)
-    step = color_one_edge(g, chi, Random(0), trace=True)
-    assert (step.fan_size, step.path_length) == (1, 0)
-    assert step.edge == 0 and step.center in (0, 1)
+    steps = _record_steps(monkeypatch)
+    assert color_one_edge(g, chi, Random(0)) == (1, 0)
+    [(edge, center, _c0)] = steps
+    assert edge == 0 and center in (0, 1)
     assert chi.uncolored_count == 0
     assert verify_proper(g, chi).proper
 
@@ -51,34 +66,37 @@ def test_color_one_edge_requires_uncolored():
         color_one_edge(g, chi, Random(0))
 
 
-def test_color_one_edge_decrements_and_traces_center_degree():
+def test_color_one_edge_decrements_and_traces_center_degree(monkeypatch):
     rng = Random(5)
     g = random_graph(12, 25, rng)
     chi = PartialColoring(g)
     seen = chi.uncolored_count
+    steps = _record_steps(monkeypatch)
     while chi.uncolored:
-        step = color_one_edge(g, chi, rng, trace=True)
+        fan_size, path_length = color_one_edge(g, chi, rng)
         seen -= 1
         assert chi.uncolored_count == seen
+        edge, center, c0 = steps[-1]
         # the chosen center realizes the edge weight (min endpoint degree)
-        assert g.degree[step.center] == edge_weight(g, step.edge)
-        assert step.fan_size <= g.degree[step.center] + 1
-        assert step.path_length <= g.n - 1
-        assert step.missing_color >= 1
+        assert g.degree[center] == edge_weight(g, edge)
+        assert fan_size <= g.degree[center] + 1
+        assert path_length <= g.n - 1
+        assert c0 >= 1
     assert verify_proper(g, chi).proper
 
 
-def test_center_tie_breaks_to_lower_id():
+def test_center_tie_breaks_to_lower_id(monkeypatch):
     g = build_graph([(1, 0)], 2)  # equal degrees
     chi = PartialColoring(g)
-    step = color_one_edge(g, chi, Random(9), trace=True)
-    assert step.center == 0
+    steps = _record_steps(monkeypatch)
+    color_one_edge(g, chi, Random(9))
+    assert steps[0][1] == 0
 
 
 def test_color_edges_empty_graph():
     g = build_graph([], 4)
     chi = PartialColoring(g)
-    assert color_edges(g, chi, Random(0)) is None
+    assert color_edges(g, chi, Random(0)) == (0, 0, 0)
     assert chi.uncolored_count == 0
 
 
@@ -94,28 +112,43 @@ def test_color_edges_star():
 def test_color_edges_er_fixture():
     g = gen_erdos_renyi(200, 1000, seed=4)
     chi = PartialColoring(g)
-    steps = color_edges(g, chi, Random(7), trace=True)
-    assert len(steps) == g.m
+    steps, fans, _paths = color_edges(g, chi, Random(7))
+    assert steps == g.m
+    assert fans >= steps  # every fan holds at least the edge itself
     rep = verify_proper(g, chi)
     assert rep.proper and rep.uncolored == 0
     assert rep.max_color <= g.max_degree + 1
     assert validate_structures(chi) == []
 
 
-def test_color_edges_trace_toggle():
-    g = gen_star(10)
-    chi = PartialColoring(g)
-    assert color_edges(g, chi, Random(2)) is None
-
-
-def test_color_edges_determinism():
+def test_color_edges_returns_the_sums_of_its_steps(monkeypatch):
     g = gen_erdos_renyi(60, 150, seed=8)
+    pairs = []
+    step = edgecolor.sequential.color_one_edge
+
+    def recording(*args):
+        pairs.append(step(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(edgecolor.sequential, "color_one_edge", recording)
+    totals = color_edges(g, PartialColoring(g), Random(2))
+    assert totals == (len(pairs), sum(f for f, _ in pairs), sum(p for _, p in pairs))
+    assert totals[0] == g.m
+    star = gen_star(10)  # centered on the leaves: one-edge fans, empty paths
+    assert color_edges(star, PartialColoring(star), Random(2)) == (9, 9, 0)
+
+
+def test_color_edges_determinism(monkeypatch):
+    g = gen_erdos_renyi(60, 150, seed=8)
+    steps = _record_steps(monkeypatch)
     runs = []
     for _ in range(2):
         chi = PartialColoring(g)
-        steps = color_edges(g, chi, Random(33), trace=True)
-        runs.append((chi.color[:], [(s.edge, s.center, s.missing_color) for s in steps]))
+        start = len(steps)
+        totals = color_edges(g, chi, Random(33))
+        runs.append((chi.color[:], steps[start:], totals))
     assert runs[0] == runs[1]
+    assert len(runs[0][1]) == g.m
 
 
 def test_color_edges_from_partial_state():
@@ -155,7 +188,8 @@ def test_deterministic_step_on_sampled_colorings(g, seed):
 def test_deterministic_full_pass():
     g = gen_erdos_renyi(120, 500, seed=10)
     chi = PartialColoring(g)
-    color_edges_deterministic(g, chi)
+    steps, fans, _paths = color_edges_deterministic(g, chi)
+    assert steps == g.m and fans >= steps
     rep = verify_proper(g, chi)
     assert rep.proper and rep.uncolored == 0
     assert rep.max_color <= g.max_degree + 1
@@ -175,8 +209,8 @@ def test_mean_step_work_tracks_weight_over_first_half():
     rng = Random(3)
     sizes = []
     while chi.uncolored_count > g.m // 2:
-        step = color_one_edge(g, chi, rng, trace=True)
-        sizes.append(step.fan_size + step.path_length)
+        fan_size, path_length = color_one_edge(g, chi, rng)
+        sizes.append(fan_size + path_length)
     mean = sum(sizes) / len(sizes)
     assert mean <= 10 * (1 + 2 * w / g.m)
 
