@@ -2,8 +2,8 @@
 
 All generators are deterministic in their seed and return simple graphs.
 The star / forest-union / star-plus-forests / grid families come with a
-known arboricity bound, which the benchmark reports carry so the
-weight-versus-density claims can be checked on generated inputs.  The
+known arboricity bound (``GenSpec.known_arboricity``), against which the
+tests check the weight-versus-density claims on generated inputs.  The
 forest-based families sample forests by inserting uniformly random
 candidate edges and rejecting cycles with a union-find; that gives no
 particular distribution over forests, but the arboricity bound is what

@@ -91,7 +91,6 @@ class GraphStats:
     max_degree: int
     graph_weight: int
     degeneracy: int
-    normalized_weight: float
 
 
 def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
@@ -184,12 +183,10 @@ def degeneracy(g: Graph) -> int:
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    w = graph_weight(g)
     return GraphStats(
         max_degree=g.max_degree,
-        graph_weight=w,
+        graph_weight=graph_weight(g),
         degeneracy=degeneracy(g),
-        normalized_weight=(w / g.m) if g.m else 0.0,
     )
 
 

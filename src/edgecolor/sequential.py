@@ -1,11 +1,13 @@
 """Sequential edge coloring: color one random uncolored edge at a time.
 
 Each step picks a uniformly random uncolored edge, grows a primed fan
-around its lower-degree endpoint, samples a random missing color at that
-endpoint, walks the corresponding maximal alternating path, and extends
-the coloring.  Centering the fan on the lower-degree endpoint bounds the
-fan by the edge's weight, which is what makes the total expected work
-scale with the graph weight rather than with n * max_degree.
+around its lower-degree endpoint and extends the coloring.  Only when the
+fan's primed color is present at that endpoint does the step sample a
+random missing color there and walk the corresponding maximal
+alternating path; otherwise it just shifts the fan.  Centering the fan
+on the lower-degree endpoint bounds the fan by the edge's weight, which
+is what makes the total expected work scale with the graph weight rather
+than with n * max_degree.
 
 The deterministic variants make every choice by a fixed rule (lower
 endpoint id, head of the free list) and serve as the classical baseline:
@@ -22,16 +24,23 @@ from .graph import Graph
 
 
 def _pipeline(
-    g: Graph, chi: PartialColoring, edge: int, center: int, c0: int
+    g: Graph, chi: PartialColoring, edge: int, center: int, rng: Random | None
 ) -> tuple[int, int]:
-    """Fan / path / extend for one edge; returns (fan size, path length)."""
+    """Fan / path / extend for one edge; returns (fan size, path length).
+
+    The path color c0 is chosen, and the path walked, only when the fan's
+    primed color is present at the center: a random missing color drawn
+    from ``rng``, or the head of the center's free list when ``rng`` is
+    None.
+    """
     fan = make_primed_fan(g, chi, edge, center)
-    c1 = fan.primed_color
-    # c0 == c1 can only happen when c1 is missing at the center, where
-    # the maximal path is empty and extend_coloring does not use it.
-    path = maximal_alternating_path(g, chi, center, c0, c1) if c0 != c1 else None
+    if fan.primed_index is None:
+        extend_coloring(g, chi, fan, None)
+        return fan.size, 0
+    c0 = chi.some_missing_color(center) if rng is None else chi.random_missing_color(center, rng)
+    path = maximal_alternating_path(g, chi, center, c0, fan.primed_color)
     extend_coloring(g, chi, fan, path)
-    return fan.size, 0 if path is None else path.length
+    return fan.size, path.length
 
 
 def color_one_edge(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, int]:
@@ -45,8 +54,7 @@ def color_one_edge(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, in
     # Center on the lower-degree endpoint, ties to the lower id, so the
     # fan size is bounded by the edge weight.
     center = a if (deg[a], a) <= (deg[b], b) else b
-    c0 = chi.random_missing_color(center, rng)
-    return _pipeline(g, chi, edge, center, c0)
+    return _pipeline(g, chi, edge, center, rng)
 
 
 def color_edges(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, int, int]:
@@ -74,8 +82,7 @@ def color_one_edge_deterministic(g: Graph, chi: PartialColoring, edge: int) -> t
         raise AlreadyColoredError(edge, chi.color[edge])
     a, b = g.endpoints[edge]
     center = a if a < b else b
-    c0 = chi.some_missing_color(center)
-    return _pipeline(g, chi, edge, center, c0)
+    return _pipeline(g, chi, edge, center, None)
 
 
 def color_edges_deterministic(g: Graph, chi: PartialColoring) -> tuple[int, int, int]:

@@ -286,19 +286,19 @@ REPORT_DIGESTS = {
     ),
     ("color-edges", False): (
         "92e9a586efead811a088a70a7add98aa02b06c5b7d4cb82f39ecf0df5d01c841",
-        "172924a084cb7a0c67f056a96669add1e0069b289d95eec5aa5dc71c0f6a8f2d",
+        "a6f09e8614a5bd6dc2b7a31b24251a02f2c2d3f20debf059af453bbc64fc3c96",
     ),
     ("color-edges", True): (
-        "e0da943c8318e23ff0f24156ffa31263036e6278f2b63ced34f0497588028d6e",
-        "172924a084cb7a0c67f056a96669add1e0069b289d95eec5aa5dc71c0f6a8f2d",
+        "b954038b5b2d7007cf42b1160e04c998559ae0e2d8f1c894b92a9d5447b06d74",
+        "a6f09e8614a5bd6dc2b7a31b24251a02f2c2d3f20debf059af453bbc64fc3c96",
     ),
     ("recursive", False): (
         "cfeb17da60e08c1883d60295535292c5334a6ee3a094b805b808795019d2ba47",
-        "086e6bf1138e280eb045c67ac5cf612f83a33d34c866146d51cc707add1cc81e",
+        "05bbbad9652c138a991ecfe28f6968ae93f8109820af879c3eaf02d6c4ced6e1",
     ),
     ("recursive", True): (
         "76ec4f41f81993afc1a33352818bb33cdb27e8885ce30dcf85b7225b97e4bb68",
-        "086e6bf1138e280eb045c67ac5cf612f83a33d34c866146d51cc707add1cc81e",
+        "05bbbad9652c138a991ecfe28f6968ae93f8109820af879c3eaf02d6c4ced6e1",
     ),
 }
 

@@ -65,12 +65,15 @@ def _hooked_color(tmp_path, capsys, g, algo, *extra):
 
 
 def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
-    g = gen_star(40)  # max degree 39: splits
+    # Max degree 39: splits.  Every step centers on a leaf whose only edge
+    # is the one it colors, so no step draws a path color or walks a path;
+    # the hooked color-edges run below reaches those two hooks.
+    g = gen_star(40)
     tracer, _report = _hooked_color(tmp_path, capsys, g, "recursive")
     _incl, _own, calls = tracer.totals()
-    for name in STAGES + ("coloring.missing_color", "recursive.node", "recursive.split",
-                          "graph.build", "recursive.merge", "recursive.prune",
-                          "recursive.base", "recursive.repair", "fanpath.path"):
+    for name in STAGES + ("recursive.node", "recursive.split", "graph.build",
+                          "recursive.merge", "recursive.prune", "recursive.base",
+                          "recursive.repair"):
         assert calls[name] > 0, name
     # Every recursion node colors through exactly one color_edges call, a
     # base or a repair, and every node that splits repairs.
@@ -87,10 +90,15 @@ def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
 def test_benchmark_hooks_pass_the_step_work_through(tmp_path, capsys, algo):
     # The hooked step colorers and single-edge steps must hand back what
     # the library returns: the traced report sums it into step_summary.
-    g = gen_erdos_renyi(30, 80, seed=2)
+    # Dense enough that some fans are primed by a color present at their
+    # center, so color-edges draws path colors and walks paths.
+    g = gen_erdos_renyi(30, 200, seed=2)
     tracer, report = _hooked_color(tmp_path, capsys, g, algo, "--trace")
     _incl, _own, calls = tracer.totals()
-    for name in STAGES:
+    hooks = STAGES + ("fanpath.path",)
+    if algo == "color-edges":
+        hooks += ("coloring.missing_color",)  # naive takes the free list's head
+    for name in hooks:
         assert calls[name] > 0, name
     assert calls["sequential.step"] == report["step_summary"]["calls"] == g.m
     assert tracer.counts["fan.sum"] == round(report["step_summary"]["mean_fan_size"] * g.m)

@@ -409,8 +409,8 @@ def test_extend_rejects_fan_whose_primed_index_misses_the_primed_color():
 # move these counts; the benchmark's assign.calls work count reads the same.
 CHECKED_CALLS = {
     "naive": (20051, 10106),
-    "color-edges": (13871, 3926),
-    "recursive": (41084, 1304),
+    "color-edges": (13802, 3857),
+    "recursive": (40944, 1164),
 }
 
 

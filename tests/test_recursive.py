@@ -308,10 +308,10 @@ def test_one_coloring_per_recursion_node(monkeypatch):
 
 # sha256 of the coloring dump, keyed by the class cost that prune ranks
 # by.  Any change to split, merge, prune or repair that alters the output
-# for a seed shows here; repair runs on this graph (pruned weight 86 in
+# for a seed shows here; repair runs on this graph (pruned weight 113 in
 # total).
 GOLDEN_DUMPS = {
-    "weight": "6ac470e64ebb55956231cd2715af529afdf60707a3cc506601232ccbdb8b4578",
+    "weight": "fea1804d420deb2014b7fe61533094260eab91e81ec694c9df24dd2c5d2a6476",
 }
 
 

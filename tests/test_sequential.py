@@ -19,6 +19,7 @@ from edgecolor.coloring import (
     validate_structures,
     verify_proper,
 )
+from edgecolor.fanpath import make_primed_fan
 from edgecolor.generators import (
     gen_erdos_renyi,
     gen_preferential_attachment,
@@ -34,26 +35,40 @@ from edgecolor.sequential import (
 )
 
 
-def _record_steps(monkeypatch) -> list[tuple[int, int, int]]:
-    """Record (edge, center, c0) of every step that runs from now on."""
-    steps = []
-    pipeline = edgecolor.sequential._pipeline
+def _record_steps(monkeypatch) -> tuple[list[tuple[int, int]], list[int]]:
+    """Record (edge, center) of every step, and every c0 drawn, from now on.
 
-    def recording(g, chi, edge, center, c0):
-        steps.append((edge, center, c0))
-        return pipeline(g, chi, edge, center, c0)
+    Each drawn c0 is checked as it is drawn: a real color, missing at the
+    center of the step that draws it.
+    """
+    steps, draws = [], []
+    pipeline = edgecolor.sequential._pipeline
+    draw = PartialColoring.random_missing_color
+
+    def recording(g, chi, edge, center, rng):
+        steps.append((edge, center))
+        return pipeline(g, chi, edge, center, rng)
+
+    def checked_draw(chi, vertex, rng):
+        c0 = draw(chi, vertex, rng)
+        assert vertex == steps[-1][1]
+        assert c0 >= 1 and chi.is_missing(vertex, c0)
+        draws.append(c0)
+        return c0
 
     monkeypatch.setattr(edgecolor.sequential, "_pipeline", recording)
-    return steps
+    monkeypatch.setattr(PartialColoring, "random_missing_color", checked_draw)
+    return steps, draws
 
 
 def test_color_one_edge_single_edge_graph(monkeypatch):
     g = build_graph([(0, 1)], 2)
     chi = PartialColoring(g)
-    steps = _record_steps(monkeypatch)
+    steps, draws = _record_steps(monkeypatch)
     assert color_one_edge(g, chi, Random(0)) == (1, 0)
-    [(edge, center, _c0)] = steps
+    [(edge, center)] = steps
     assert edge == 0 and center in (0, 1)
+    assert draws == []  # the primed color is missing at the center
     assert chi.uncolored_count == 0
     assert verify_proper(g, chi).proper
 
@@ -71,26 +86,78 @@ def test_color_one_edge_decrements_and_traces_center_degree(monkeypatch):
     g = random_graph(12, 25, rng)
     chi = PartialColoring(g)
     seen = chi.uncolored_count
-    steps = _record_steps(monkeypatch)
+    steps, draws = _record_steps(monkeypatch)
     while chi.uncolored:
         fan_size, path_length = color_one_edge(g, chi, rng)
         seen -= 1
         assert chi.uncolored_count == seen
-        edge, center, c0 = steps[-1]
+        edge, center = steps[-1]
         # the chosen center realizes the edge weight (min endpoint degree)
         assert g.degree[center] == edge_weight(g, edge)
         assert fan_size <= g.degree[center] + 1
         assert path_length <= g.n - 1
-        assert c0 >= 1
+    assert draws  # some step needed a path, and its c0 was checked
     assert verify_proper(g, chi).proper
 
 
 def test_center_tie_breaks_to_lower_id(monkeypatch):
     g = build_graph([(1, 0)], 2)  # equal degrees
     chi = PartialColoring(g)
-    steps = _record_steps(monkeypatch)
+    steps, _draws = _record_steps(monkeypatch)
     color_one_edge(g, chi, Random(9))
     assert steps[0][1] == 0
+
+
+# One uncolored edge, 0 = (0, 1), centered on vertex 0 by either colorer
+# (lower id, no higher degree), and the colors of edges 1, 2, ...  In the
+# first graph the fan (1, 2) is primed by color 2, which is missing at the
+# center; in the second the fan (1, 2, 3) is primed by color 1, which sits
+# on fan edge (0, 2).
+SHIFT_ONLY = ([(0, 1), (0, 2), (1, 3), (1, 4)], [1, 2, 3])
+NEEDS_PATH = ([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)], [1, 2, 2, 3])
+
+
+@pytest.mark.parametrize("draw_name", ["random_missing_color", "some_missing_color"])
+@pytest.mark.parametrize("edges, colors, primed_at_center",
+                         [(*SHIFT_ONLY, False), (*NEEDS_PATH, True)],
+                         ids=["shift-only", "needs-path"])
+def test_step_draws_c0_and_walks_the_path_only_when_primed_color_is_at_center(
+    monkeypatch, draw_name, edges, colors, primed_at_center
+):
+    g = build_graph(edges, 6)
+    chi = PartialColoring(g)
+    for e, c in enumerate(colors, start=1):
+        chi.assign(e, c)
+    assert (make_primed_fan(g, chi, 0, 0).primed_index is not None) == primed_at_center
+    missing_before = set(chi.missing_colors(0))
+    draws, walks = [], []
+    draw = getattr(PartialColoring, draw_name)
+    walk = edgecolor.sequential.maximal_alternating_path
+
+    def counted_draw(chi, vertex, *rng):
+        c0 = draw(chi, vertex, *rng)
+        if vertex == 0:  # the fan reads free lists at its leaves only
+            draws.append(c0)
+        return c0
+
+    def counted_walk(g, chi, start, c0, c1):
+        walks.append((start, c0))
+        return walk(g, chi, start, c0, c1)
+
+    monkeypatch.setattr(PartialColoring, draw_name, counted_draw)
+    monkeypatch.setattr(edgecolor.sequential, "maximal_alternating_path", counted_walk)
+    if draw_name == "random_missing_color":
+        color_one_edge(g, chi, Random(4))
+    else:
+        color_one_edge_deterministic(g, chi, 0)
+    if primed_at_center:
+        [c0] = draws
+        assert c0 in missing_before
+        assert walks == [(0, c0)]
+    else:
+        assert draws == [] and walks == []
+    assert chi.uncolored_count == 0
+    assert verify_proper(g, chi).proper
 
 
 def test_color_edges_empty_graph():
@@ -140,13 +207,13 @@ def test_color_edges_returns_the_sums_of_its_steps(monkeypatch):
 
 def test_color_edges_determinism(monkeypatch):
     g = gen_erdos_renyi(60, 150, seed=8)
-    steps = _record_steps(monkeypatch)
+    steps, draws = _record_steps(monkeypatch)
     runs = []
     for _ in range(2):
         chi = PartialColoring(g)
-        start = len(steps)
+        start, drawn = len(steps), len(draws)
         totals = color_edges(g, chi, Random(33))
-        runs.append((chi.color[:], steps[start:], totals))
+        runs.append((chi.color[:], steps[start:], draws[drawn:], totals))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) == g.m
 
@@ -225,8 +292,8 @@ GOLDEN_SEQUENTIAL = {
         "722763137ceccaebf338dbfe3553217fc7b306090cf13d60977c55f91e40409c",
     ),
     "color-edges": (
-        "e66a7eab760331ae8aca5d80c78c4a23290a2c09a3ce6815fec77d473242f57c",
-        "d032dbfd078410133668356ebd1a5a0e3d3a6a4a163ea545de71d8e6d169f465",
+        "ab91246c87cd6a3294b8134fdaef589cd582413d512be3debe278326666acab3",
+        "06e188f2ebd7132646cc46aaba8575cf24214d51c11cc7645aab2be65deaacae",
     ),
 }
 
