@@ -35,7 +35,7 @@ from operator import itemgetter
 from random import Random
 from typing import Sequence, TextIO
 
-from .graph import Graph, IntPairs, ParseError
+from .graph import Graph, IntPairs, ParseError, randbelow
 
 UNCOLORED = 0
 
@@ -245,18 +245,18 @@ class PartialColoring:
         occ = self.occupied[vertex]
         if 2 * self.g.degree[vertex] <= k:
             for _ in range(_REJECTION_CAP):
-                c = rng.randrange(k) + 1
+                c = randbelow(rng, k) + 1
                 if c not in occ:
                     return c
         pool = [c for c in range(1, k + 1) if c not in occ]
-        return pool[rng.randrange(len(pool))]
+        return pool[randbelow(rng, len(pool))]
 
     def random_uncolored_edge(self, rng: Random) -> int:
         """Uniformly random uncolored edge id."""
         unc = self.uncolored
         if not unc:
             raise NoUncoloredEdgesError()
-        return unc[rng.randrange(len(unc))]
+        return unc[randbelow(rng, len(unc))]
 
     # -- copying ----------------------------------------------------------
 

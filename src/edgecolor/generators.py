@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from random import Random
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, randbelow
 
 
 class InfeasibleSpecError(ValueError):
@@ -159,8 +159,8 @@ def _grow_forest(
     attempts_left = 30 * n + 200
     while added < target and attempts_left > 0:
         attempts_left -= 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+        u = randbelow(rng, n)
+        v = randbelow(rng, n)
         if u == v:
             continue
         key = (u, v) if u < v else (v, u)
@@ -242,8 +242,8 @@ def gen_erdos_renyi(n: int, m: int, seed: int) -> Graph:
     else:
         chosen: set[tuple[int, int]] = set()
         while len(edges) < m:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
+            u = randbelow(rng, n)
+            v = randbelow(rng, n)
             if u == v:
                 continue
             key = (u, v) if u < v else (v, u)
@@ -274,7 +274,7 @@ def gen_preferential_attachment(n: int, degree: int, seed: int) -> Graph:
         attempts_left = 50 * want + 50
         while len(targets) < want and attempts_left > 0:
             attempts_left -= 1
-            targets.add(endpoint_pool[rng.randrange(len(endpoint_pool))])
+            targets.add(endpoint_pool[randbelow(rng, len(endpoint_pool))])
         while len(targets) < want:
             # Degenerate fallback: fill from the lowest ids not yet used.
             for u in range(v):

@@ -10,13 +10,17 @@ of a graph is the sum of its edge weights.  For sparse graphs this sum
 stays close to linear in the edge count, which is what makes the
 coloring algorithms in this package fast, so the module also exposes a
 degeneracy computation as a cheap density proxy.
+
+:func:`randbelow` is the one bounded random draw that the seeded
+generators and colorers share.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from random import Random
 from typing import Iterable, TextIO
 
 
@@ -277,9 +281,26 @@ def read_edge_list(source: str | TextIO) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Serialize in the format accepted by :func:`read_edge_list`."""
-    return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.endpoints)
+    pairs = tuple(chain.from_iterable(g.endpoints))
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % pairs
 
 
 def canonical_edge_list(g: Graph) -> list[tuple[int, int]]:
     """Sorted list of normalized ``(min, max)`` endpoint pairs."""
     return sorted((u, v) if u < v else (v, u) for u, v in g.endpoints)
+
+
+def randbelow(rng: Random, n: int) -> int:
+    """Uniform integer in ``0..n-1``: the value ``rng.randrange(n)`` returns.
+
+    This is the ``getrandbits`` rejection loop that ``randrange`` runs for
+    an int ``n > 0``, without its argument handling, so a seed draws the
+    same values either way.
+    """
+    if n < 1:
+        raise ValueError(f"randbelow needs n >= 1, got {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r

@@ -142,7 +142,7 @@ class _StubbornRng:
     def __init__(self):
         self.draws = 0
 
-    def randrange(self, stop):
+    def getrandbits(self, k):
         self.draws += 1
         return 0
 

@@ -75,6 +75,14 @@ def test_star_plus_forests_hub_graph_is_pinned():
     assert digest == "77a237e8313a25ab3137bad223a15de550094b28ff1bcbac22fb9f8898856031"
 
 
+def test_erdos_renyi_flat_graph_is_pinned():
+    # The benchmark's flat workload; any change to its generator or to the
+    # edge-list bytes shows here.
+    g = gen_erdos_renyi(3000, 15000, seed=1)
+    digest = hashlib.sha256(write_edge_list(g).encode()).hexdigest()
+    assert digest == "061efa2cb05af967f02751462df99f8562e611eccd8a99466a440d46e98b7a37"
+
+
 @pytest.mark.parametrize("alpha", [2, 3])
 def test_star_plus_forests_forests_reach_their_target(monkeypatch, alpha):
     # With a full star, vertex 0 has no free pair, so a forest can hold at
