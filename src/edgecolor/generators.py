@@ -4,11 +4,8 @@ All generators are deterministic in their seed and return simple graphs.
 The star / forest-union / star-plus-forests / grid families come with a
 known arboricity bound (``GenSpec.known_arboricity``), against which the
 tests check the weight-versus-density claims on generated inputs.  The
-forest-based families sample forests by inserting uniformly random
-candidate edges and rejecting cycles with a union-find; that gives no
-particular distribution over forests, but the arboricity bound is what
-matters here.  Duplicate candidates are rejected up to a retry cap, so
-edge counts can fall slightly below their nominal targets.
+forest-based families draw each forest by random attachment, which gives
+no particular distribution over forests but a forest by construction.
 """
 
 from __future__ import annotations
@@ -110,34 +107,6 @@ def gen_star(n: int) -> Graph:
     return build_graph([(0, i) for i in range(1, n)], n)
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def _grow_forest(
     n: int,
     rng: Random,
@@ -145,37 +114,37 @@ def _grow_forest(
     out: list[tuple[int, int]],
     target: int,
 ) -> int:
-    """Insert up to ``target`` random forest edges, avoiding ``taken``.
+    """Add up to ``target`` edges of one random forest, avoiding ``taken``.
 
-    Candidates closing a cycle or duplicating an existing edge are
-    rejected; after the attempt cap the forest is left short.  Returns
-    the number of edges added.
+    In shuffled order, each vertex attaches to a random earlier vertex,
+    or to the next earlier one (cyclically) whose pair is free; one with
+    no free pair starts a new tree.  One earlier parent per vertex makes
+    a forest.  Returns the number of edges added.
     """
-    if n < 2 or target <= 0:
-        return 0
-    target = min(target, n - 1)
-    uf = _UnionFind(n)
+    order = list(range(n))
+    rng.shuffle(order)
     added = 0
-    attempts_left = 30 * n + 200
-    while added < target and attempts_left > 0:
-        attempts_left -= 1
-        u = randbelow(rng, n)
-        v = randbelow(rng, n)
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in taken:
-            continue
-        if not uf.union(u, v):
-            continue
-        taken.add(key)
-        out.append(key)
-        added += 1
+    for i in range(1, n):
+        if added >= target:
+            break
+        v = order[i]
+        j = randbelow(rng, i)
+        for k in range(j, j + i):
+            u = order[k % i]
+            key = (u, v) if u < v else (v, u)
+            if key not in taken:
+                taken.add(key)
+                out.append(key)
+                added += 1
+                break
     return added
 
 
 def gen_forest_union(n: int, alpha: int, seed: int) -> Graph:
-    """Union of ``alpha`` random spanning forests; arboricity <= alpha."""
+    """Union of ``alpha`` random forests; arboricity <= alpha.
+
+    Each is a spanning tree unless a vertex finds all its earlier vertices taken.
+    """
     if n < 1 or alpha < 1:
         raise InfeasibleSpecError("forest-union needs n >= 1 and alpha >= 1")
     rng = Random(seed)
@@ -200,11 +169,8 @@ def gen_star_plus_forests(
     sweep the max degree while holding the edge count roughly fixed.
     Max degree is about the star size while the arboricity stays at most
     ``alpha``, so these graphs are dense in degree but sparse in weight.
-    A full star leaves vertex 0 no free pair, so each forest then asks
-    for at most ``n - 2`` edges rather than spending its attempt budget
-    on an ``n - 1``-th.  For a full star with ``alpha >= 3`` this cap
-    changed which graph a seed gives, as later forests start from
-    another random state.
+    A full star takes every pair at vertex 0, so vertex 0 gets no forest
+    edge and each forest has at most ``n - 2`` edges.
     """
     if n < 2 or alpha < 2:
         raise InfeasibleSpecError("star-plus-forests needs n >= 2 and alpha >= 2")
@@ -214,8 +180,6 @@ def gen_star_plus_forests(
     per_forest = n - 1 if forest_edges is None else forest_edges
     if per_forest < 0:
         raise InfeasibleSpecError("forest_edges must be non-negative")
-    if leaves == n - 1:
-        per_forest = min(per_forest, n - 2)
     rng = Random(seed)
     edges = [(0, i) for i in range(1, leaves + 1)]
     taken = set(edges)
@@ -271,16 +235,9 @@ def gen_preferential_attachment(n: int, degree: int, seed: int) -> Graph:
     for v in range(3, n):
         want = min(degree, v)
         targets: set[int] = set()
-        attempts_left = 50 * want + 50
-        while len(targets) < want and attempts_left > 0:
-            attempts_left -= 1
-            targets.add(endpoint_pool[randbelow(rng, len(endpoint_pool))])
+        # Every earlier vertex is in the pool and want <= v, so this ends.
         while len(targets) < want:
-            # Degenerate fallback: fill from the lowest ids not yet used.
-            for u in range(v):
-                if u not in targets:
-                    targets.add(u)
-                    break
+            targets.add(endpoint_pool[randbelow(rng, len(endpoint_pool))])
         for u in sorted(targets):
             edges.append((u, v))
             endpoint_pool.append(u)

@@ -277,28 +277,28 @@ def test_cli_trace_files(tmp_path, capsys):
 # dump digest is one per algorithm: --trace leaves the dump unchanged.
 REPORT_DIGESTS = {
     ("naive", False): (
-        "94b72ba9f802ee89ab205fcb009bba33e98df169cb138f24a0632fd5f7e670ab",
-        "42f044dad16db001f7d759ed43be878a42620a9896d262a910e56c05071db944",
+        "2135930f71d6d308f8cee13d49437002752b9e05d559ba994eaf94488f24febe",
+        "2902417885288d8c8f6200d18f0e0d2264af4c7232be7aee6a923c92d9e02d7f",
     ),
     ("naive", True): (
-        "abae3459b4d31ad64adf6fa49d7861849ab36511bc53c59953f53fc460a97f00",
-        "42f044dad16db001f7d759ed43be878a42620a9896d262a910e56c05071db944",
+        "b3fff25bede4bfdc11003e7e6f6e4e6dade0f035583dc728b34b9994c19cc8bd",
+        "2902417885288d8c8f6200d18f0e0d2264af4c7232be7aee6a923c92d9e02d7f",
     ),
     ("color-edges", False): (
-        "92e9a586efead811a088a70a7add98aa02b06c5b7d4cb82f39ecf0df5d01c841",
-        "a6f09e8614a5bd6dc2b7a31b24251a02f2c2d3f20debf059af453bbc64fc3c96",
+        "b43c3cef3355407feecd5663f28a4af05e8eaec8827849cffa027b6951e0398e",
+        "7260dba6ced7c75262f381fb66729823a07083ca6cf21673a34de141a348232d",
     ),
     ("color-edges", True): (
-        "b954038b5b2d7007cf42b1160e04c998559ae0e2d8f1c894b92a9d5447b06d74",
-        "a6f09e8614a5bd6dc2b7a31b24251a02f2c2d3f20debf059af453bbc64fc3c96",
+        "3999fec56dcac7c2ce3e4aaf652cecf39d434d5c4fb0aec5cc687dd7f8fac5de",
+        "7260dba6ced7c75262f381fb66729823a07083ca6cf21673a34de141a348232d",
     ),
     ("recursive", False): (
-        "cfeb17da60e08c1883d60295535292c5334a6ee3a094b805b808795019d2ba47",
-        "05bbbad9652c138a991ecfe28f6968ae93f8109820af879c3eaf02d6c4ced6e1",
+        "9d84d4acc10b8ddadf6e460f88f2a1e5e7dfcca5d429e8fb320237b7d15dbc33",
+        "1030be547bd6b12df95395ea69966e9a68d3da0649dbd3079079206d28c7bda7",
     ),
     ("recursive", True): (
-        "76ec4f41f81993afc1a33352818bb33cdb27e8885ce30dcf85b7225b97e4bb68",
-        "05bbbad9652c138a991ecfe28f6968ae93f8109820af879c3eaf02d6c4ced6e1",
+        "4990058bd5335e90283ba8802a986e6af1a12bacecd0b7c287c38eb6fa8ce73d",
+        "1030be547bd6b12df95395ea69966e9a68d3da0649dbd3079079206d28c7bda7",
     ),
 }
 

@@ -1,14 +1,19 @@
 """Graph family generators: shapes, bounds, determinism, spec parsing."""
 
 import hashlib
+from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import edgecolor.generators
+from _util import graphs
 from edgecolor.generators import (
     FAMILIES,
     GenSpec,
     InfeasibleSpecError,
+    _grow_forest,
     gen_erdos_renyi,
     gen_forest_union,
     gen_grid,
@@ -18,6 +23,7 @@ from edgecolor.generators import (
     generate,
 )
 from edgecolor.graph import (
+    build_graph,
     canonical_edge_list,
     degeneracy,
     graph_weight,
@@ -40,7 +46,7 @@ def test_star_weight_is_n_minus_1():
 
 def test_forest_union_single_forest():
     g = gen_forest_union(100, 1, seed=3)
-    assert g.m <= 99
+    assert g.m == 99
     assert degeneracy(g) <= 1
 
 
@@ -72,7 +78,7 @@ def test_star_plus_forests_hub_graph_is_pinned():
     # The benchmark's hub workload; any change to its generator shows here.
     g = gen_star_plus_forests(2**11, 2, seed=1)
     digest = hashlib.sha256(write_edge_list(g).encode()).hexdigest()
-    assert digest == "77a237e8313a25ab3137bad223a15de550094b28ff1bcbac22fb9f8898856031"
+    assert digest == "b8352089bb5d2e053f615829af1af4911b663f3df8567fffa852f8593dc88c7d"
 
 
 def test_erdos_renyi_flat_graph_is_pinned():
@@ -85,21 +91,38 @@ def test_erdos_renyi_flat_graph_is_pinned():
 
 @pytest.mark.parametrize("alpha", [2, 3])
 def test_star_plus_forests_forests_reach_their_target(monkeypatch, alpha):
-    # With a full star, vertex 0 has no free pair, so a forest can hold at
-    # most n - 2 edges; asking for more only burns the attempt budget.
-    calls = []
+    # With a full star, vertex 0 has every pair taken and gets no forest
+    # edge; each forest still spans the other n - 1 vertices.
+    n = 2048
+    added = []
     grow = edgecolor.generators._grow_forest
 
     def recording_grow(n, rng, taken, out, target):
-        added = grow(n, rng, taken, out, target)
-        calls.append((target, added))
-        return added
+        added.append(grow(n, rng, taken, out, target))
+        return added[-1]
 
     monkeypatch.setattr(edgecolor.generators, "_grow_forest", recording_grow)
-    gen_star_plus_forests(2048, alpha, seed=1)
-    assert len(calls) == alpha - 1
-    for target, added in calls:
-        assert added == target, calls
+    g = gen_star_plus_forests(n, alpha, seed=1)
+    assert added == [n - 2] * (alpha - 1)
+    assert g.degree[0] == n - 1
+
+
+@given(graphs(min_n=1, max_n=12), st.integers(0, 14), st.integers(0, 2**32 - 1))
+def test_grow_forest_adds_a_forest_of_free_pairs(g, target, seed):
+    before = set(g.endpoints)
+    taken, out = set(before), []
+    added = _grow_forest(g.n, Random(seed), taken, out, target)
+    assert added == len(out) <= target
+    assert not before & set(out)
+    assert taken == before | set(out)
+    assert degeneracy(build_graph(out, g.n)) <= 1  # acyclic
+
+
+@given(st.integers(1, 300), st.integers(0, 400), st.integers(0, 2**32 - 1))
+def test_grow_forest_with_nothing_taken_reaches_its_target(n, target, seed):
+    out = []
+    assert _grow_forest(n, Random(seed), set(), out, target) == min(target, n - 1)
+    assert degeneracy(build_graph(out, n)) <= 1
 
 
 def test_star_plus_forests_knobs():

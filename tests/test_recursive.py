@@ -331,13 +331,13 @@ GOLDEN_SPLITS = [
     (gen_star, (9,), "9c27cb88e8db2d2205e8ddc722c3be72080257183fb651c616560e90e98d4294"),
     (gen_star, (200,), "cd4231ef6334bd80883274a5bc6dfa5b6204deb5ba306e964bd433f04512816a"),
     (gen_forest_union, (300, 3, 1),
-     "71175442e4acaa5d69e361269978a3bf0c2e5c7699bd9f88b72dc43d83af0533"),
+     "0b8e2ffc1729a6f24050a94a099c6bcff24dd607cfcdf966b0b3edf1b47b2216"),
     (gen_forest_union, (800, 5, 2),
-     "94504a9874f24c96e55c6374a18ceaa0d2ebc069126c61f9f37446c642cfdd5e"),
+     "aedb4cd39cf63f6f2f4cbdf58aa4b85ecf45f3ee710ad5bbc942317a62a3f21a"),
     (gen_star_plus_forests, (256, 2, 1),
-     "befb9159b014e46ffbb235ceb7d1423df0d8bf62afbe42ff538ad4adcf89bdd4"),
+     "9f2202e13ee7dd6191bc06637d94328af161423051b7272a16452faadff3a7b6"),
     (gen_star_plus_forests, (1024, 3, 2),
-     "097a71f642fdf8db3a0c000d0666f5fd4cfe5ae7002de85e661677740b418101"),
+     "2468b1d6eece72537b521c8299a2a3154f1904764fb46a5ae055ca7bb7c5726b"),
     (gen_erdos_renyi, (100, 400, 1),
      "5a84dc8f460f9b23964223e52c68908b9c05daa170a304c4bf4b49cd8992f215"),
     (gen_erdos_renyi, (500, 3000, 2),

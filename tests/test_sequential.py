@@ -288,11 +288,11 @@ def test_mean_step_work_tracks_weight_over_first_half():
 # the output for a seed shows here.
 GOLDEN_SEQUENTIAL = {
     "naive": (
-        "0ed0c3571bfcc85f2ca9024c69822e6351e5154e410a1ab20f63ab525d519b44",
+        "55295f5c7aae9c99713014e9a3eb00b3312f65f06d250baa1f14211933222379",
         "722763137ceccaebf338dbfe3553217fc7b306090cf13d60977c55f91e40409c",
     ),
     "color-edges": (
-        "ab91246c87cd6a3294b8134fdaef589cd582413d512be3debe278326666acab3",
+        "2ecb3ed655f81ab544d3dda89d02105dd46f5f2fd629883de01318be3d78d306",
         "06e188f2ebd7132646cc46aaba8575cf24214d51c11cc7645aab2be65deaacae",
     ),
 }
