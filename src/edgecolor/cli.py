@@ -141,6 +141,8 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.palette is not None and args.palette < 0:
+        raise ValueError(f"--palette must be non-negative, got {args.palette}")
     with _open_input(args.graph) as fh:
         g = read_edge_list(fh)
     with _open_input(args.coloring) as fh:

@@ -31,7 +31,7 @@ never pays for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from random import Random
 from typing import Sequence, TextIO
 
@@ -102,17 +102,20 @@ class PartialColoring:
         Equal to an empty coloring filled by checked :meth:`assign` calls
         in edge-id order, and raises what those calls raise.  A total
         coloring is checked at once, by one set of ``(vertex, color)``
-        keys, and takes ``colors`` over as its color array; its index is
-        built on first read, by those same checked calls.  On a clash, or
-        when some edge is uncolored (a coloring that is about to be
-        colored further), the checked calls run right away.
+        keys, each packed into one int, and takes ``colors`` over as its
+        color array; its index is built on first read, by those same
+        checked calls.  On a clash, or when some edge is uncolored (a
+        coloring that is about to be colored further), the checked calls
+        run right away.
         """
         if len(colors) != g.m:
             raise ColoringError(f"{len(colors)} colors for {g.m} edges")
         k = g.max_degree + 1
         if not colors or (min(colors) >= 1 and max(colors) <= k):
-            keys = set(zip(map(itemgetter(0), g.endpoints), colors))
-            keys.update(zip(map(itemgetter(1), g.endpoints), colors))
+            # (vertex, color) as one int: 1 <= color <= k keeps it injective.
+            k1 = k + 1
+            keys = {u * k1 + c for (u, _), c in zip(g.endpoints, colors)}
+            keys.update(v * k1 + c for (_, v), c in zip(g.endpoints, colors))
             if len(keys) == 2 * g.m:
                 chi = object.__new__(_Unindexed)
                 chi.g = g
@@ -413,7 +416,9 @@ def validate_structures(chi: PartialColoring) -> list[str]:
 
 def format_coloring(chi: PartialColoring) -> str:
     """Serialize as one ``edge-id color`` line per edge; 0 means uncolored."""
-    return "".join(f"{e} {chi.color[e]}\n" for e in range(chi.g.m))
+    m = chi.g.m
+    pairs = tuple(chain.from_iterable(zip(range(m), chi.color)))
+    return ("%d %d\n" * m) % pairs
 
 
 def parse_coloring(source: str | TextIO, m: int) -> list[int]:
@@ -424,7 +429,7 @@ def parse_coloring(source: str | TextIO, m: int) -> list[int]:
     parse errors naming their line.
     """
     colors = [UNCOLORED] * m
-    listed = [False] * m
+    listed = bytearray(m)
     pairs = IntPairs(source)
     for e, c in pairs:
         if not (0 <= e < m):
@@ -433,6 +438,6 @@ def parse_coloring(source: str | TextIO, m: int) -> list[int]:
             raise ParseError(pairs.line_no, f"edge id {e} listed twice")
         if c < 0:
             raise ParseError(pairs.line_no, f"negative color {c}")
-        listed[e] = True
+        listed[e] = 1
         colors[e] = c
     return colors

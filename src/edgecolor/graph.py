@@ -68,6 +68,7 @@ class Graph:
         n: number of vertices.
         m: number of edges.
         endpoints: per edge id, the ``(u, v)`` pair as given on input.
+            The pairs share one int object per vertex id.
         adjacency: per vertex, its edge ids in ascending order; the
             neighbor across each is read from ``endpoints``.
         degree: per vertex, its degree.
@@ -108,6 +109,9 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     endpoints: list[tuple[int, int]] = []
     adjacency: list[list[int]] = [[] for _ in range(n)]
     seen: set[int] = set()
+    # The first int object seen for each vertex id; every later endpoint
+    # reuses it, so the graph holds one object per vertex, not per endpoint.
+    vid: list[int | None] = [None] * n
     for index, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(index, u, v, n)
@@ -117,7 +121,13 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(index, u, v)
         seen.add(key)
-        endpoints.append((u, v))
+        su = vid[u]
+        if su is None:
+            su = vid[u] = u
+        sv = vid[v]
+        if sv is None:
+            sv = vid[v] = v
+        endpoints.append((su, sv))
         adjacency[u].append(index)
         adjacency[v].append(index)
     degree = [len(adjacency[v]) for v in range(n)]
@@ -264,7 +274,9 @@ def read_edge_list(source: str | TextIO) -> Graph:
     if n < 0 or m < 0:
         raise ParseError(header_line, "header counts must be non-negative")
     # Only isolated vertices lie beyond 2m, so this bounds the per-vertex
-    # memory build_graph allocates by the edges plus a fixed slack.
+    # memory build_graph allocates (an adjacency list and a transient slot
+    # of its vertex-id table per declared vertex) by the edges plus a
+    # fixed slack.
     if n > 2 * m + 2**20:
         raise ParseError(header_line, f"header n={n} exceeds 2*m + {2**20}")
     try:

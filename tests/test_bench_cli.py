@@ -19,7 +19,7 @@ from edgecolor.bench import ALGORITHMS, build_report, run_coloring
 from edgecolor.cli import main
 from edgecolor.coloring import validate_structures, verify_colors, verify_proper
 from edgecolor.generators import gen_star_plus_forests
-from edgecolor.graph import build_graph
+from edgecolor.graph import build_graph, write_edge_list
 
 
 @pytest.fixture()
@@ -145,6 +145,22 @@ def test_cli_verify_palette_flag(tmp_path, capsys):
     assert main(["verify", str(graph_path), str(dump), "--palette", "1"]) == 1
     out = capsys.readouterr().out
     assert "out-of-range" in out
+
+
+def test_cli_verify_rejects_a_negative_palette(tmp_path, capsys):
+    graph_path = tmp_path / "p.edges"
+    dump = tmp_path / "p.colors"
+    for g, text in ((build_graph([], 2), ""), (build_graph([(0, 1), (0, 2)], 3), "0 1\n1 2\n")):
+        graph_path.write_text(write_edge_list(g))
+        dump.write_text(text)
+        assert main(["verify", str(graph_path), str(dump), "--palette", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --palette must be non-negative, got -3\n"
+    # An empty palette is still a palette: it passes only an edgeless graph.
+    graph_path.write_text(write_edge_list(build_graph([], 2)))
+    dump.write_text("")
+    assert main(["verify", str(graph_path), str(dump), "--palette", "0"]) == 0
 
 
 def test_cli_color_missing_input(tmp_path, capsys):

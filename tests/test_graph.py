@@ -1,5 +1,6 @@
 """Graph construction, weights, degeneracy, and edge-list round trips."""
 
+import gc
 import io
 import tracemalloc
 from random import Random
@@ -9,7 +10,7 @@ from hypothesis import given
 
 from _util import graphs, random_graph
 from edgecolor.cli import main
-from edgecolor.generators import gen_forest_union
+from edgecolor.generators import GenSpec, gen_erdos_renyi, gen_forest_union, generate
 from edgecolor.graph import (
     DuplicateEdgeError,
     EdgeError,
@@ -27,6 +28,7 @@ from edgecolor.graph import (
     read_edge_list,
     write_edge_list,
 )
+from edgecolor.recursive import euler_partition
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -287,3 +289,36 @@ def test_randbelow_rejects_an_empty_range(n):
     # getrandbits(0) is always 0, so without the check the loop never ends.
     with pytest.raises(ValueError):
         randbelow(Random(0), n)
+
+
+# The benchmark's two workloads (edgebench/run.py), at seed 1.
+WORKLOADS = {
+    "hub": GenSpec(family="star-plus-forests", n=2**11, alpha=2, seed=1),
+    "flat": GenSpec(family="erdos-renyi", n=3_000, m=15_000, seed=1),
+}
+
+
+@pytest.mark.parametrize("spec", WORKLOADS.values(), ids=WORKLOADS.keys())
+def test_graphs_hold_one_int_object_per_vertex_id(spec):
+    # build_graph reuses the first int object it sees for each vertex id,
+    # whether the ids were drawn, parsed or renumbered by a split.
+    g = generate(spec)
+    split = euler_partition(g)
+    for h in (g, read_edge_list(write_edge_list(g)), split.left, split.right):
+        ids = [x for pair in h.endpoints for x in pair]
+        assert len({id(x) for x in ids}) == len(set(ids))
+
+
+def test_read_edge_list_keeps_the_flat_graph_under_150_bytes_per_edge():
+    # One int object per endpoint, as each parsed pair brings, costs
+    # about 180 bytes per edge here; shared vertex ids about 133.
+    text = write_edge_list(gen_erdos_renyi(3_000, 15_000, seed=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        g = read_edge_list(text)
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (after - before) / g.m <= 150
