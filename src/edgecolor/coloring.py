@@ -11,9 +11,12 @@ A :class:`PartialColoring` maintains, alongside the per-edge color array:
   a position index, so a deterministic missing color is available in
   O(1) even where ``d(v)`` is far below the max degree (at most ``d(v)``
   of those ``d(v)+1`` low colors can ever be occupied, so the list is
-  never empty);
-* the set of uncolored edges as a swap-removal array with an inverse
-  index, so uniform sampling of an uncolored edge is O(1).
+  never empty).
+
+The set of uncolored edges is not stored: :attr:`PartialColoring.uncolored`
+derives it from the color array in O(m), and
+:func:`edgecolor.sequential.color_edges`, the one caller that samples it,
+keeps its own swap-removal list.
 
 All single-edge mutations are O(1).  The structures are redundant with
 the color array on purpose; :func:`validate_structures` recomputes them
@@ -22,10 +25,9 @@ properness without consulting them at all.
 
 :meth:`PartialColoring.from_colors` takes a whole color array at once.
 For a total coloring it checks properness in O(m) and leaves the
-per-vertex index (the occupied maps, the free lists and the uncolored
-inverse index) unbuilt until something first reads it, so a coloring
-that is only read back, as the recursive colorer's merged nodes are,
-never pays for it.
+per-vertex index (the occupied maps and the free lists) unbuilt until
+something first reads it, so a coloring that is only read back, as the
+recursive colorer's merged nodes are, never pays for it.
 """
 
 from __future__ import annotations
@@ -72,15 +74,10 @@ class AlreadyUncoloredError(ColoringError):
         self.edge = edge
 
 
-class NoUncoloredEdgesError(ColoringError):
-    def __init__(self) -> None:
-        super().__init__("coloring is total; no uncolored edge to sample")
-
-
 class PartialColoring:
     """Partial proper edge coloring of a fixed graph, empty on creation."""
 
-    __slots__ = ("g", "k", "color", "occupied", "_free", "_free_pos", "uncolored", "_ind")
+    __slots__ = ("g", "k", "color", "occupied", "_free", "_free_pos")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -92,8 +89,6 @@ class PartialColoring:
         # array is padding so colors index it directly.
         self._free: list[list[int]] = [list(range(1, d + 2)) for d in g.degree]
         self._free_pos: list[list[int]] = [list(range(-1, d + 1)) for d in g.degree]
-        self.uncolored: list[int] = list(range(g.m))
-        self._ind: list[int] = list(range(g.m))
 
     @staticmethod
     def from_colors(g: Graph, colors: list[int]) -> PartialColoring:
@@ -121,15 +116,19 @@ class PartialColoring:
                 chi.g = g
                 chi.k = k
                 chi.color = colors
-                chi.uncolored = []
                 return chi
         return _filled(g, colors)
 
     # -- basic queries ------------------------------------------------
 
     @property
+    def uncolored(self) -> list[int]:
+        """The uncolored edge ids, ascending.  O(m)."""
+        return [e for e, c in enumerate(self.color) if c == UNCOLORED]
+
+    @property
     def uncolored_count(self) -> int:
-        return len(self.uncolored)
+        return self.color.count(UNCOLORED)
 
     def is_missing(self, vertex: int, color: int) -> bool:
         """True when no edge at ``vertex`` carries ``color``."""
@@ -179,13 +178,6 @@ class PartialColoring:
         self.color[edge] = color
         self._occupy(u, color, edge)
         self._occupy(v, color, edge)
-        unc = self.uncolored
-        ind = self._ind
-        i = ind[edge]
-        last = unc[-1]
-        unc[i] = last
-        ind[last] = i
-        unc.pop()
 
     def unassign(self, edge: int) -> None:
         """Remove the color of a colored edge."""
@@ -198,8 +190,6 @@ class PartialColoring:
         self._release(u, c)
         self._release(v, c)
         self.color[edge] = UNCOLORED
-        self._ind[edge] = len(self.uncolored)
-        self.uncolored.append(edge)
 
     def swap_colors_along_path(
         self, vertices: Sequence[int], edge_ids: Sequence[int], c0: int, c1: int
@@ -254,13 +244,6 @@ class PartialColoring:
         pool = [c for c in range(1, k + 1) if c not in occ]
         return pool[randbelow(rng, len(pool))]
 
-    def random_uncolored_edge(self, rng: Random) -> int:
-        """Uniformly random uncolored edge id."""
-        unc = self.uncolored
-        if not unc:
-            raise NoUncoloredEdgesError()
-        return unc[randbelow(rng, len(unc))]
-
     # -- copying ----------------------------------------------------------
 
     def copy(self) -> PartialColoring:
@@ -271,12 +254,10 @@ class PartialColoring:
         new.occupied = [d.copy() for d in self.occupied]
         new._free = [f[:] for f in self._free]
         new._free_pos = [p[:] for p in self._free_pos]
-        new.uncolored = self.uncolored[:]
-        new._ind = self._ind[:]
         return new
 
 
-_INDEX = frozenset(("occupied", "_free", "_free_pos", "_ind"))
+_INDEX = frozenset(("occupied", "_free", "_free_pos"))
 
 
 def _filled(g: Graph, colors: list[int]) -> PartialColoring:
@@ -300,6 +281,9 @@ class _Unindexed(PartialColoring):
     """
 
     __slots__ = ()
+    # Total by construction; this shadows the O(m) property, so a merged
+    # node that prunes nothing never scans its colors to find that out.
+    uncolored = ()
 
     def __getattr__(self, name: str):
         if name not in _INDEX:
@@ -308,7 +292,6 @@ class _Unindexed(PartialColoring):
         self.occupied = built.occupied
         self._free = built._free
         self._free_pos = built._free_pos
-        self._ind = built._ind
         self.__class__ = PartialColoring
         return getattr(self, name)
 
@@ -402,12 +385,6 @@ def validate_structures(chi: PartialColoring) -> list[str]:
         for c in range(1, d + 2):
             if c not in expect_free and pos[c] != -1:
                 problems.append(f"free position not cleared at vertex {v} color {c}")
-    expect_unc = {e for e in range(g.m) if chi.color[e] == UNCOLORED}
-    if set(chi.uncolored) != expect_unc or len(chi.uncolored) != len(expect_unc):
-        problems.append("uncolored array does not match the color array")
-    for i, e in enumerate(chi.uncolored):
-        if chi._ind[e] != i:
-            problems.append(f"uncolored inverse index wrong for edge {e}")
     return problems
 
 

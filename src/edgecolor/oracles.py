@@ -198,7 +198,7 @@ def exhaustive_extend_suite(
         rng = Random((seed << 20) ^ mask)
         for round_no in range(colorings_per_graph):
             base = sample_partial_coloring(g, rng)
-            for e in list(base.uncolored):
+            for e in base.uncolored:
                 for center in g.endpoints[e]:
                     chi = base.copy()
                     before = chi.uncolored_count

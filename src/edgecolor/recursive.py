@@ -171,7 +171,7 @@ def merge_colorings(
     by construction and the two palettes are disjoint, so the checked
     assignment happens once, in :func:`prune_min_weight_colors`.
     """
-    if chi_left.uncolored or chi_right.uncolored:
+    if UNCOLORED in chi_left.color or UNCOLORED in chi_right.color:
         raise ImproperInputError("merge requires total colorings on both sides")
     offset = chi_left.k
     colors = [UNCOLORED] * g.m

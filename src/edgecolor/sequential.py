@@ -1,7 +1,9 @@
 """Sequential edge coloring: color one random uncolored edge at a time.
 
-Each step picks a uniformly random uncolored edge, grows a primed fan
-around its lower-degree endpoint and extends the coloring.  Only when the
+:func:`color_edges` colors the uncolored edges in a uniformly random
+order: it keeps them in a swap-removal list and each step draws one
+uniformly from what is left.  A step grows a primed fan around the
+edge's lower-degree endpoint and extends the coloring.  Only when the
 fan's primed color is present at that endpoint does the step sample a
 random missing color there and walk the corresponding maximal
 alternating path; otherwise it just shifts the fan.  Centering the fan
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 from random import Random
 
-from .coloring import AlreadyColoredError, PartialColoring, UNCOLORED
+from .coloring import PartialColoring, UNCOLORED
 from .fanpath import extend_coloring, make_primed_fan, maximal_alternating_path
-from .graph import Graph
+from .graph import Graph, randbelow
 
 
 def _pipeline(
@@ -43,12 +45,11 @@ def _pipeline(
     return fan.size, path.length
 
 
-def color_one_edge(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, int]:
-    """Color one uniformly random uncolored edge; returns (fan size, path length).
+def color_one_edge(g: Graph, chi: PartialColoring, edge: int, rng: Random) -> tuple[int, int]:
+    """Color an uncolored edge with random choices; returns (fan size, path length).
 
-    Raises ``NoUncoloredEdgesError`` when the coloring is already total.
+    Raises :class:`~edgecolor.fanpath.InvalidFanError` for a colored edge.
     """
-    edge = chi.random_uncolored_edge(rng)
     a, b = g.endpoints[edge]
     deg = g.degree
     # Center on the lower-degree endpoint, ties to the lower id, so the
@@ -60,11 +61,18 @@ def color_one_edge(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, in
 def color_edges(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, int, int]:
     """Color all uncolored edges by repeated random single-edge steps.
 
-    Returns (steps, total fan size, total path length).
+    Each step colors exactly its own edge, so the list of uncolored edges
+    taken at the start stays exact when the step's edge is swap-removed
+    from it.  Returns (steps, total fan size, total path length).
     """
     steps = fans = paths = 0
-    while chi.uncolored:
-        fan_size, path_length = color_one_edge(g, chi, rng)
+    unc = chi.uncolored
+    while unc:
+        i = randbelow(rng, len(unc))
+        edge = unc[i]
+        unc[i] = unc[-1]
+        unc.pop()
+        fan_size, path_length = color_one_edge(g, chi, edge, rng)
         steps += 1
         fans += fan_size
         paths += path_length
@@ -76,10 +84,8 @@ def color_one_edge_deterministic(g: Graph, chi: PartialColoring, edge: int) -> t
 
     The center is the lower endpoint id and the path color is the head
     of the center's free list.  Returns (fan size, path length).  Raises
-    :class:`AlreadyColoredError` for a colored edge.
+    :class:`~edgecolor.fanpath.InvalidFanError` for a colored edge.
     """
-    if chi.color[edge] != UNCOLORED:
-        raise AlreadyColoredError(edge, chi.color[edge])
     a, b = g.endpoints[edge]
     center = a if a < b else b
     return _pipeline(g, chi, edge, center, None)

@@ -20,7 +20,7 @@ from edgecolor.bench import run_coloring
 from edgecolor.cli import main
 from edgecolor.coloring import PartialColoring, verify_colors
 from edgecolor.generators import GenSpec, generate
-from edgecolor.graph import graph_weight
+from edgecolor.graph import graph_weight, randbelow
 from edgecolor.oracles import (
     check_edge_membership_bounds,
     exhaustive_extend_suite,
@@ -268,7 +268,8 @@ def test_criterion_10_step_cost_on_fully_uncolored_graph():
     calls = 1000
     for i in range(calls):
         chi = PartialColoring(g)
-        total += sum(color_one_edge(g, chi, Random(i)))
+        rng = Random(i)
+        total += sum(color_one_edge(g, chi, randbelow(rng, g.m), rng))
     mean = total / calls
     bound = 10 * w / g.m
     ok = mean <= bound

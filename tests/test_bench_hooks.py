@@ -18,7 +18,7 @@ import edgecolor.cli
 import edgecolor.recursive
 import edgecolor.sequential
 from edgecolor.coloring import PartialColoring
-from edgecolor.generators import gen_erdos_renyi, gen_star
+from edgecolor.generators import gen_erdos_renyi, gen_preferential_attachment, gen_star
 from edgecolor.graph import write_edge_list
 from edgecolor.recursive import recursive_color_edges
 
@@ -103,3 +103,15 @@ def test_benchmark_hooks_pass_the_step_work_through(tmp_path, capsys, algo):
     assert calls["sequential.step"] == report["step_summary"]["calls"] == g.m
     assert tracer.counts["fan.sum"] == round(report["step_summary"]["mean_fan_size"] * g.m)
     assert tracer.counts["path.sum"] == round(report["step_summary"]["mean_path_length"] * g.m)
+
+
+def test_benchmark_hooks_read_the_uncolored_edges_a_prune_leaves(tmp_path, capsys):
+    # Here some merged nodes' prunes uncolor edges (pruned weight 81 over
+    # all nodes at colorer seed 1), so the hooks read chi.uncolored and
+    # uncolored_count of a partial coloring and count its repair steps.
+    g = gen_preferential_attachment(1000, 10, seed=4)
+    tracer, _report = _hooked_color(tmp_path, capsys, g, "recursive")
+    _incl, _own, calls = tracer.totals()
+    assert calls["recursive.repair"] > 0
+    assert tracer.counts["repair.steps"] > 0
+    assert 0 < tracer.counts["pruned_weight_over_bound"] <= 1

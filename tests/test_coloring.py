@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgecolor.sequential
 from _util import colored_graphs, graphs, random_partial
 from edgecolor.coloring import (
     UNCOLORED,
@@ -13,7 +14,6 @@ from edgecolor.coloring import (
     AlreadyUncoloredError,
     ColorConflictError,
     ColoringError,
-    NoUncoloredEdgesError,
     PartialColoring,
     format_coloring,
     parse_coloring,
@@ -51,11 +51,9 @@ def test_assign_unassign_inverse():
     chi.assign(0, 2)
     assert chi.uncolored_count == 2
     chi.unassign(0)
-    # the uncolored array is a set with arbitrary order; everything else
-    # must match exactly
     assert chi.color == before_colors
     assert chi.occupied == before_occ
-    assert sorted(chi.uncolored) == [0, 1, 2]
+    assert chi.uncolored == [0, 1, 2]
     assert validate_structures(chi) == []
 
 
@@ -158,20 +156,38 @@ def test_random_missing_color_rejection_cap_falls_back():
     assert rng.draws == 65  # 64 rejections + 1 pool index
 
 
-def test_random_uncolored_edge():
+class _FirstStep(Exception):
+    pass
+
+
+def test_random_uncolored_edge(monkeypatch):
+    # color_edges draws its first edge uniformly from the uncolored ones.
+    # Each run stops at its first step, before anything is colored.
+    firsts = []
+
+    def first_step(g, chi, edge, rng):
+        firsts.append(edge)
+        raise _FirstStep
+
+    monkeypatch.setattr(edgecolor.sequential, "color_one_edge", first_step)
     chi = PartialColoring(TRIANGLE)
     rng = Random(3)
+
+    def first_edge():
+        with pytest.raises(_FirstStep):
+            color_edges(TRIANGLE, chi, rng)
+        return firsts[-1]
+
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(30000):
-        counts[chi.random_uncolored_edge(rng)] += 1
+        counts[first_edge()] += 1
     for c in counts.values():
         assert 0.30 <= c / 30000 <= 0.37
     chi.assign(0, 1)
     chi.assign(1, 2)
-    assert chi.random_uncolored_edge(rng) == 2
+    assert first_edge() == 2
     chi.assign(2, 3)
-    with pytest.raises(NoUncoloredEdgesError):
-        chi.random_uncolored_edge(rng)
+    assert color_edges(TRIANGLE, chi, rng) == (0, 0, 0)
 
 
 def test_verify_colors_reports():
@@ -290,6 +306,17 @@ def test_from_colors_equals_checked_assignment(graph_and_coloring, total, touch,
     assert validate_structures(chi) == []
 
 
+def test_uncolored_is_read_from_the_colors_of_an_unindexed_coloring():
+    chi = PartialColoring.from_colors(TRIANGLE, [1, 2, 3])
+    assert type(chi) is not PartialColoring  # total: index unbuilt
+    assert list(chi.uncolored) == [] and chi.uncolored_count == 0
+    chi.unassign(1)
+    assert chi.uncolored == [1] and chi.uncolored_count == 1
+    assert validate_structures(chi) == []
+    assert color_edges(TRIANGLE, chi, Random(0))[0] == 1
+    assert chi.uncolored == [] and verify_proper(TRIANGLE, chi).proper
+
+
 def test_from_colors_raises_what_checked_assignment_raises():
     for colors, error in (
         ([1, 1, 2], ColorConflictError),  # color 1 twice at vertex 1
@@ -324,7 +351,7 @@ def test_structures_survive_random_operations(g, seed):
     k = chi.k
     for _ in range(3 * g.m):
         if chi.uncolored and (not rng.random() < 0.4 or chi.uncolored_count == g.m):
-            e = chi.random_uncolored_edge(rng)
+            e = rng.choice(chi.uncolored)
             u, v = g.endpoints[e]
             feasible = [
                 c for c in range(1, k + 1) if chi.is_missing(u, c) and chi.is_missing(v, c)

@@ -11,15 +11,13 @@ import edgecolor.sequential
 from _util import graphs, random_graph, random_partial
 from edgecolor.bench import run_coloring
 from edgecolor.coloring import (
-    AlreadyColoredError,
-    NoUncoloredEdgesError,
     PartialColoring,
     UNCOLORED,
     format_coloring,
     validate_structures,
     verify_proper,
 )
-from edgecolor.fanpath import make_primed_fan
+from edgecolor.fanpath import InvalidFanError, make_primed_fan
 from edgecolor.generators import (
     gen_erdos_renyi,
     gen_preferential_attachment,
@@ -65,7 +63,7 @@ def test_color_one_edge_single_edge_graph(monkeypatch):
     g = build_graph([(0, 1)], 2)
     chi = PartialColoring(g)
     steps, draws = _record_steps(monkeypatch)
-    assert color_one_edge(g, chi, Random(0)) == (1, 0)
+    assert color_one_edge(g, chi, 0, Random(0)) == (1, 0)
     [(edge, center)] = steps
     assert edge == 0 and center in (0, 1)
     assert draws == []  # the primed color is missing at the center
@@ -77,25 +75,31 @@ def test_color_one_edge_requires_uncolored():
     g = build_graph([(0, 1)], 2)
     chi = PartialColoring(g)
     chi.assign(0, 1)
-    with pytest.raises(NoUncoloredEdgesError):
-        color_one_edge(g, chi, Random(0))
+    with pytest.raises(InvalidFanError):
+        color_one_edge(g, chi, 0, Random(0))
 
 
 def test_color_one_edge_decrements_and_traces_center_degree(monkeypatch):
     rng = Random(5)
     g = random_graph(12, 25, rng)
     chi = PartialColoring(g)
-    seen = chi.uncolored_count
     steps, draws = _record_steps(monkeypatch)
-    while chi.uncolored:
-        fan_size, path_length = color_one_edge(g, chi, rng)
-        seen -= 1
-        assert chi.uncolored_count == seen
-        edge, center = steps[-1]
+    left = []
+
+    def checked(g, chi, edge, rng):
+        fan_size, path_length = color_one_edge(g, chi, edge, rng)
+        left.append(chi.uncolored_count)
+        assert steps[-1][0] == edge
+        center = steps[-1][1]
         # the chosen center realizes the edge weight (min endpoint degree)
         assert g.degree[center] == edge_weight(g, edge)
         assert fan_size <= g.degree[center] + 1
         assert path_length <= g.n - 1
+        return fan_size, path_length
+
+    monkeypatch.setattr(edgecolor.sequential, "color_one_edge", checked)
+    color_edges(g, chi, rng)
+    assert left == list(range(g.m - 1, -1, -1))
     assert draws  # some step needed a path, and its c0 was checked
     assert verify_proper(g, chi).proper
 
@@ -104,7 +108,7 @@ def test_center_tie_breaks_to_lower_id(monkeypatch):
     g = build_graph([(1, 0)], 2)  # equal degrees
     chi = PartialColoring(g)
     steps, _draws = _record_steps(monkeypatch)
-    color_one_edge(g, chi, Random(9))
+    color_one_edge(g, chi, 0, Random(9))
     assert steps[0][1] == 0
 
 
@@ -147,7 +151,7 @@ def test_step_draws_c0_and_walks_the_path_only_when_primed_color_is_at_center(
     monkeypatch.setattr(PartialColoring, draw_name, counted_draw)
     monkeypatch.setattr(edgecolor.sequential, "maximal_alternating_path", counted_walk)
     if draw_name == "random_missing_color":
-        color_one_edge(g, chi, Random(4))
+        color_one_edge(g, chi, 0, Random(4))
     else:
         color_one_edge_deterministic(g, chi, 0)
     if primed_at_center:
@@ -205,6 +209,31 @@ def test_color_edges_returns_the_sums_of_its_steps(monkeypatch):
     assert color_edges(star, PartialColoring(star), Random(2)) == (9, 9, 0)
 
 
+def test_each_step_colors_exactly_its_own_edge(monkeypatch):
+    # color_edges samples from the uncolored list it took on entry and
+    # swap-removes each step's edge from it, which stays exact only if
+    # every step colors its own edge and uncolors none.
+    step = edgecolor.sequential.color_one_edge
+    edges = []
+
+    def checked(g, chi, edge, rng):
+        before = set(chi.uncolored)
+        out = step(g, chi, edge, rng)
+        assert set(chi.uncolored) == before - {edge} and edge in before
+        edges.append(edge)
+        return out
+
+    monkeypatch.setattr(edgecolor.sequential, "color_one_edge", checked)
+    rng = Random(17)
+    for _ in range(20):
+        g = random_graph(12, 30, rng)
+        chi = random_partial(g, rng)
+        entry = chi.uncolored_count
+        edges.clear()
+        assert color_edges(g, chi, rng)[0] == len(edges) == entry
+        assert chi.uncolored_count == 0 and verify_proper(g, chi).proper
+
+
 def test_color_edges_determinism(monkeypatch):
     g = gen_erdos_renyi(60, 150, seed=8)
     steps, draws = _record_steps(monkeypatch)
@@ -233,7 +262,7 @@ def test_deterministic_single_edge():
     chi = PartialColoring(g)
     color_one_edge_deterministic(g, chi, 0)
     assert chi.color[0] == 1  # head of the free list
-    with pytest.raises(AlreadyColoredError):
+    with pytest.raises(InvalidFanError):
         color_one_edge_deterministic(g, chi, 0)
 
 
@@ -266,18 +295,24 @@ def test_deterministic_full_pass():
     assert chi2.color == chi.color
 
 
-def test_mean_step_work_tracks_weight_over_first_half():
+def test_mean_step_work_tracks_weight_over_first_half(monkeypatch):
     # while at least half the edges are uncolored, expected fan + path
     # work per step is O(1 + weight / uncolored); check the empirical
     # mean with slack 10 against the l >= m/2 bound
     g = gen_star_plus_forests(512, 2, seed=21)
     w = graph_weight(g)
-    chi = PartialColoring(g)
-    rng = Random(3)
+    step = edgecolor.sequential.color_one_edge
     sizes = []
-    while chi.uncolored_count > g.m // 2:
-        fan_size, path_length = color_one_edge(g, chi, rng)
+
+    def recording(*args):
+        fan_size, path_length = step(*args)
         sizes.append(fan_size + path_length)
+        return fan_size, path_length
+
+    monkeypatch.setattr(edgecolor.sequential, "color_one_edge", recording)
+    color_edges(g, PartialColoring(g), Random(3))
+    # the steps that start with more than m // 2 edges uncolored
+    sizes = sizes[: g.m - g.m // 2]
     mean = sum(sizes) / len(sizes)
     assert mean <= 10 * (1 + 2 * w / g.m)
 
