@@ -66,29 +66,25 @@ def euler_partition(g: Graph) -> EulerSplit:
     """Split ``g`` into two halves along an Euler partition.
 
     Maximal tours are removed greedily, open ones from the odd-degree
-    vertices first, so each odd vertex ends exactly one tour and the rest
-    falls into closed tours; one adjacency cursor per vertex keeps this
-    linear.  Each tour's edges alternate sides, starting left.  Passing
-    through a vertex puts one edge on each side, so only tour ends are
-    unbalanced: an open tour adds one edge to a side at each end, and an
-    even closed tour adds nothing.  An odd closed tour puts its first and
-    last edge on the same side, so it is rotated to start at its visited
-    vertex with the least imbalance so far, and that doubled pair goes to
-    the vertex's lighter side; this choice is what keeps the +-1 degree
-    bounds.  Deterministic for a given graph.
+    vertices first, and each tour's edges alternate sides; one adjacency
+    cursor per vertex keeps this linear.  A walk stops only at a vertex
+    with no untaken edge, so each vertex starts at most one closed tour.
+    Passing through a vertex puts one edge on each side, so only a tour's
+    start vertex can be unbalanced: an open tour starts left, giving its
+    start one extra left edge, and its far end is never visited again; an
+    odd closed tour puts two extra edges on the side it starts on.  So a
+    closed tour starts right at an odd-degree vertex and left at an even
+    one.  Then left minus right degree is +-1 at every odd vertex and 0 or
+    +2 at every even one: each side's degree is within d(v)/2 +- 1.
+    Deterministic for a given graph.
     """
     side = bytearray(b"\x02" * g.m)  # 2 until the walk takes the edge
-    imbalance = [0] * g.n  # (left degree - right degree) so far
     cursor = [0] * g.n
-    rem = list(g.degree)
     adjacency = g.adjacency
     endpoints = g.endpoints
+    degree = g.degree
 
-    def walk(start: int) -> None:
-        verts = [start]
-        eids: list[int] = []
-        cur = start
-        s = LEFT
+    def walk(cur: int, s: int) -> None:
         while True:
             adj = adjacency[cur]
             i = cursor[cur]
@@ -96,38 +92,19 @@ def euler_partition(g: Graph) -> EulerSplit:
                 i += 1
             cursor[cur] = i
             if i == len(adj):
-                break
+                return
             e = adj[i]
             a, b = endpoints[e]
-            nxt = b if a == cur else a
+            cur = b if a == cur else a
             side[e] = s
             s ^= 1
-            rem[cur] -= 1
-            rem[nxt] -= 1
-            verts.append(nxt)
-            eids.append(e)
-            cur = nxt
-        length = len(eids)
-        if cur != start:
-            # Open tour: both ends are odd vertices that end no other tour
-            # and no closed tour has been walked yet, so both are balanced
-            # here and starting left is as good as starting right.
-            imbalance[start] += 1
-            imbalance[cur] += 1 if length % 2 else -1
-        elif length % 2:
-            best_p = min(range(length), key=lambda p: abs(imbalance[verts[p]]))
-            x = verts[best_p]
-            s = LEFT if imbalance[x] <= 0 else RIGHT
-            for i in range(length):
-                side[eids[(best_p + i) % length]] = s ^ (i & 1)
-            imbalance[x] += 2 if s == LEFT else -2
 
+    # An odd vertex where an earlier open tour ended has no edge left.
     for v in range(g.n):
-        if rem[v] % 2:
-            walk(v)
+        if degree[v] & 1:
+            walk(v, LEFT)
     for v in range(g.n):
-        while rem[v] > 0:
-            walk(v)
+        walk(v, RIGHT if degree[v] & 1 else LEFT)
     return _materialize_split(g, side)
 
 

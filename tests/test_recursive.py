@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import graphs, random_graph
+from _util import all_pairs, graphs, random_graph
 from edgecolor.coloring import PartialColoring, format_coloring, verify_colors, verify_proper
 from edgecolor.generators import (
     gen_erdos_renyi,
@@ -39,7 +39,8 @@ def _check_split(g, split: EulerSplit) -> None:
         dl = left_deg.get(v, 0)
         dr = right_deg.get(v, 0)
         assert dl + dr == g.degree[v]
-        assert abs(dl - dr) <= 2
+        # left minus right: +-1 at an odd vertex, 0 or +2 at an even one
+        assert dl - dr in ((-1, 1) if g.degree[v] & 1 else (0, 2))
     # every parent edge lands on one side, in id order, with its
     # endpoints intact
     assert sorted(split.left_edges + split.right_edges) == list(range(g.m))
@@ -81,6 +82,17 @@ def test_split_empty_graph():
 @settings(max_examples=200)
 def test_split_balance_property(g):
     _check_split(g, euler_partition(g))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["input-order", "reversed"])
+def test_split_balance_on_every_small_graph(reverse):
+    # every graph on at most 5 labeled vertices, its edges in both orders
+    for n in range(6):
+        pairs = all_pairs(n)
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            g = build_graph(edges[::-1] if reverse else edges, n)
+            _check_split(g, euler_partition(g))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -340,6 +352,8 @@ GOLDEN_SPLITS = [
      "2468b1d6eece72537b521c8299a2a3154f1904764fb46a5ae055ca7bb7c5726b"),
     (gen_erdos_renyi, (100, 400, 1),
      "5a84dc8f460f9b23964223e52c68908b9c05daa170a304c4bf4b49cd8992f215"),
+    (gen_erdos_renyi, (100, 400, 5),
+     "377e4ebc4ebeebcfaf0880478ff356ac25472dc1935764ab205279ea7ca1f191"),
     (gen_erdos_renyi, (500, 3000, 2),
      "0a4e42561a33b3bd37927410211f52866fd90f0b12fbac5fc27df286207cf588"),
     (gen_preferential_attachment, (200, 3, 1),
@@ -412,6 +426,21 @@ def test_level_stats_flags_synthetic_violations():
     assert "max degree" in text
     assert "weight sum" in text
     assert "is absent" in text
+
+
+def test_level_stats_degree_bounds_are_inclusive():
+    # At level 2 a root degree of 12 halves twice to 3, so degrees and max
+    # degrees 1 and 5 sit exactly on the +-2 bounds; 0 and 6 are past them.
+    def node(level, degree, max_degree):
+        return RecursionNode(level, degree, max_degree, degree, [0], [degree], level > 0, None, None)
+
+    trace = [node(2, 1, 1), node(2, 5, 5), node(2, 0, 1), node(2, 6, 5), node(0, 12, 12)]
+    root_stats, stats = collect_level_stats(trace)
+    assert root_stats["violations"] == []
+    assert stats["violations"] == [
+        "level 2 subgraph 2: vertex 0 degree 0 outside 12/4 +- 2",
+        "level 2 subgraph 3: vertex 0 degree 6 outside 12/4 +- 2",
+    ]
 
 
 def test_level_stats_empty_trace():
