@@ -7,25 +7,26 @@ A :class:`PartialColoring` maintains, alongside the per-edge color array:
 
 * per vertex, a hash map from occupied color to the edge carrying it,
   so color lookups and missing-color tests are O(1);
-* per vertex, the list of free colors among ``1..d(v)+1`` together with
-  a position index, so a deterministic missing color is available in
-  O(1) even where ``d(v)`` is far below the max degree (at most ``d(v)``
-  of those ``d(v)+1`` low colors can ever be occupied, so the list is
-  never empty).
+* per vertex, a lazy stack of the free colors among ``1..d(v)+1``, so a
+  deterministic missing color takes O(1) amortized even where ``d(v)`` is
+  far below the max degree.  It holds every free low color (at most
+  ``d(v)`` of them can be occupied) and may hold stale entries, colors
+  occupied since they were pushed, popped when they surface; past
+  ``2(d(v)+1)`` entries it is rebuilt from the occupied map.
 
 The set of uncolored edges is not stored: :attr:`PartialColoring.uncolored`
 derives it from the color array in O(m), and
 :func:`edgecolor.sequential.color_edges`, the one caller that samples it,
 keeps its own swap-removal list.
 
-All single-edge mutations are O(1).  The structures are redundant with
-the color array on purpose; :func:`validate_structures` recomputes them
-from scratch and reports any drift, and :func:`verify_proper` checks
-properness without consulting them at all.
+All single-edge mutations are O(1) amortized.  The structures are
+redundant with the color array on purpose; :func:`validate_structures`
+recomputes them from scratch and reports any drift, and
+:func:`verify_proper` checks properness without consulting them at all.
 
 :meth:`PartialColoring.from_colors` takes a whole color array at once.
 For a total coloring it checks properness in O(m) and leaves the
-per-vertex index (the occupied maps and the free lists) unbuilt until
+per-vertex index (the occupied maps and the free stacks) unbuilt until
 something first reads it, so a coloring that is only read back, as the
 recursive colorer's merged nodes are, never pays for it.
 """
@@ -77,18 +78,15 @@ class AlreadyUncoloredError(ColoringError):
 class PartialColoring:
     """Partial proper edge coloring of a fixed graph, empty on creation."""
 
-    __slots__ = ("g", "k", "color", "occupied", "_free", "_free_pos")
+    __slots__ = ("g", "k", "color", "occupied", "_free")
 
     def __init__(self, g: Graph):
         self.g = g
         self.k = g.max_degree + 1
         self.color: list[int] = [UNCOLORED] * g.m
         self.occupied: list[dict[int, int]] = [{} for _ in range(g.n)]
-        # Free colors within 1..d(v)+1 plus the position of each such
-        # color in the list (-1 when absent).  Index 0 of the position
-        # array is padding so colors index it directly.
-        self._free: list[list[int]] = [list(range(1, d + 2)) for d in g.degree]
-        self._free_pos: list[list[int]] = [list(range(-1, d + 1)) for d in g.degree]
+        # Free-color stacks, top last: 1 is picked first, then d+1, d, ...
+        self._free: list[list[int]] = [[*range(2, d + 2), 1] for d in g.degree]
 
     @staticmethod
     def from_colors(g: Graph, colors: list[int]) -> PartialColoring:
@@ -139,26 +137,17 @@ class PartialColoring:
         occ = self.occupied[vertex]
         return [c for c in range(1, self.k + 1) if c not in occ]
 
-    # -- O(1) structure maintenance ------------------------------------
-
-    def _occupy(self, vertex: int, color: int, edge: int) -> None:
-        self.occupied[vertex][color] = edge
-        if color <= self.g.degree[vertex] + 1:
-            free = self._free[vertex]
-            pos = self._free_pos[vertex]
-            i = pos[color]
-            last = free[-1]
-            free[i] = last
-            pos[last] = i
-            free.pop()
-            pos[color] = -1
+    # -- structure maintenance, O(1) amortized --------------------------
 
     def _release(self, vertex: int, color: int) -> None:
-        del self.occupied[vertex][color]
-        if color <= self.g.degree[vertex] + 1:
+        occ = self.occupied[vertex]
+        del occ[color]
+        d1 = self.g.degree[vertex] + 1
+        if color <= d1:
             free = self._free[vertex]
-            free.append(color)
-            self._free_pos[vertex][color] = len(free) - 1
+            free.insert(len(free) - 1, color)
+            if len(free) > 2 * d1:
+                free[:] = [c for c in (*range(2, d1 + 1), 1) if c not in occ]
 
     # -- mutations ------------------------------------------------------
 
@@ -176,8 +165,8 @@ class PartialColoring:
         if clash is not None:
             raise ColorConflictError(edge, color, v, clash)
         self.color[edge] = color
-        self._occupy(u, color, edge)
-        self._occupy(v, color, edge)
+        self.occupied[u][color] = edge
+        self.occupied[v][color] = edge
 
     def unassign(self, edge: int) -> None:
         """Remove the color of a colored edge."""
@@ -201,7 +190,7 @@ class PartialColoring:
         ``maximal_alternating_path`` and checks only that it is maximal at
         both ends; this method only performs the O(length) bookkeeping.
         Interior vertices keep both colors occupied (their two path edges
-        trade colors), so only the two path endpoints touch free lists.
+        trade colors), so only the two path endpoints release a color.
         """
         if not edge_ids:
             return
@@ -216,14 +205,23 @@ class PartialColoring:
             o[c0], o[c1] = o[c1], o[c0]
         for e in edge_ids:
             color[e] = c0 if color[e] == c1 else c1
-        self._occupy(first_v, color[first_e], first_e)
-        self._occupy(last_v, color[last_e], last_e)
+        occ[first_v][color[first_e]] = first_e
+        occ[last_v][color[last_e]] = last_e
 
     # -- deterministic and random choices --------------------------------
 
     def some_missing_color(self, vertex: int) -> int:
-        """A deterministic missing color: head of the low-color free list."""
-        return self._free[vertex][0]
+        """A deterministic missing color: the top of the free stack.
+
+        Stale entries are popped first.  A release goes just under the top,
+        so the top stays the pick while it is free, and once it is occupied
+        the latest release comes next.
+        """
+        free = self._free[vertex]
+        occ = self.occupied[vertex]
+        while free[-1] in occ:
+            free.pop()
+        return free[-1]
 
     def random_missing_color(self, vertex: int, rng: Random) -> int:
         """Uniformly random color among those missing at ``vertex``.
@@ -253,11 +251,10 @@ class PartialColoring:
         new.color = self.color[:]
         new.occupied = [d.copy() for d in self.occupied]
         new._free = [f[:] for f in self._free]
-        new._free_pos = [p[:] for p in self._free_pos]
         return new
 
 
-_INDEX = frozenset(("occupied", "_free", "_free_pos"))
+_INDEX = frozenset(("occupied", "_free"))
 
 
 def _filled(g: Graph, colors: list[int]) -> PartialColoring:
@@ -291,7 +288,6 @@ class _Unindexed(PartialColoring):
         built = _filled(self.g, self.color)
         self.occupied = built.occupied
         self._free = built._free
-        self._free_pos = built._free_pos
         self.__class__ = PartialColoring
         return getattr(self, name)
 
@@ -373,18 +369,10 @@ def validate_structures(chi: PartialColoring) -> list[str]:
     for v in range(g.n):
         if chi.occupied[v] != expect_occ[v]:
             problems.append(f"occupied map stale at vertex {v}")
-        d = g.degree[v]
-        expect_free = {c for c in range(1, d + 2) if c not in expect_occ[v]}
+        low = set(range(1, g.degree[v] + 2))
         free = chi._free[v]
-        if set(free) != expect_free or len(free) != len(expect_free):
-            problems.append(f"free list wrong at vertex {v}")
-        pos = chi._free_pos[v]
-        for i, c in enumerate(free):
-            if pos[c] != i:
-                problems.append(f"free position index wrong at vertex {v} color {c}")
-        for c in range(1, d + 2):
-            if c not in expect_free and pos[c] != -1:
-                problems.append(f"free position not cleared at vertex {v} color {c}")
+        if not low - expect_occ[v].keys() <= set(free) <= low or len(free) > 2 * len(low):
+            problems.append(f"free stack wrong at vertex {v}")
     return problems
 
 

@@ -89,7 +89,8 @@ class AlternatingPath:
 def make_primed_fan(g: Graph, chi: PartialColoring, edge: int, center: int) -> Fan:
     """Grow a primed fan around ``center`` for the uncolored ``edge``.
 
-    Follows the head of each leaf's free-color list, so the result is
+    Follows the top of each leaf's free-color stack (which stays while it
+    is free, then gives the latest release), so the result is
     deterministic given the coloring state.  Every iteration either
     returns or appends a previously unseen neighbor, so the loop runs at
     most ``d(center)`` times and the whole call is O(d(center)).

@@ -12,7 +12,7 @@ is what makes the total expected work scale with the graph weight rather
 than with n * max_degree.
 
 The deterministic variants make every choice by a fixed rule (lower
-endpoint id, head of the free list) and serve as the classical baseline:
+endpoint id, top of the free stack) and serve as the classical baseline:
 same fan/path machinery, no randomness.
 """
 
@@ -32,8 +32,8 @@ def _pipeline(
 
     The path color c0 is chosen, and the path walked, only when the fan's
     primed color is present at the center: a random missing color drawn
-    from ``rng``, or the head of the center's free list when ``rng`` is
-    None.
+    from ``rng``, or the top of the center's free stack when ``rng`` is
+    None (the top stays while it is free; then the latest release).
     """
     fan = make_primed_fan(g, chi, edge, center)
     if fan.primed_index is None:
@@ -82,8 +82,8 @@ def color_edges(g: Graph, chi: PartialColoring, rng: Random) -> tuple[int, int, 
 def color_one_edge_deterministic(g: Graph, chi: PartialColoring, edge: int) -> tuple[int, int]:
     """Color a specific uncolored edge with deterministic choices.
 
-    The center is the lower endpoint id and the path color is the head
-    of the center's free list.  Returns (fan size, path length).  Raises
+    The center is the lower endpoint id and the path color is the top
+    of the center's free stack.  Returns (fan size, path length).  Raises
     :class:`~edgecolor.fanpath.InvalidFanError` for a colored edge.
     """
     a, b = g.endpoints[edge]

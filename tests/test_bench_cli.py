@@ -294,19 +294,19 @@ def test_cli_trace_files(tmp_path, capsys):
 REPORT_DIGESTS = {
     ("naive", False): (
         "2135930f71d6d308f8cee13d49437002752b9e05d559ba994eaf94488f24febe",
-        "2902417885288d8c8f6200d18f0e0d2264af4c7232be7aee6a923c92d9e02d7f",
+        "47be8d85a962e52b7b4ce41e14e74d0a43608b3e5f717068e943bcebb21aea67",
     ),
     ("naive", True): (
-        "b3fff25bede4bfdc11003e7e6f6e4e6dade0f035583dc728b34b9994c19cc8bd",
-        "2902417885288d8c8f6200d18f0e0d2264af4c7232be7aee6a923c92d9e02d7f",
+        "094c0b1eb1b25bb625ef95989ac1f28985a14dac84c548693cd46a1f154b462e",
+        "47be8d85a962e52b7b4ce41e14e74d0a43608b3e5f717068e943bcebb21aea67",
     ),
     ("color-edges", False): (
         "b43c3cef3355407feecd5663f28a4af05e8eaec8827849cffa027b6951e0398e",
-        "7260dba6ced7c75262f381fb66729823a07083ca6cf21673a34de141a348232d",
+        "bd144108382368c819211cdae700a69fc95647847cc2fa999f07ab2d4312c102",
     ),
     ("color-edges", True): (
-        "3999fec56dcac7c2ce3e4aaf652cecf39d434d5c4fb0aec5cc687dd7f8fac5de",
-        "7260dba6ced7c75262f381fb66729823a07083ca6cf21673a34de141a348232d",
+        "eb3a9fd434e95a7d07235602b9f7d9cc575c8929ae1232e961ca11177fdb6116",
+        "bd144108382368c819211cdae700a69fc95647847cc2fa999f07ab2d4312c102",
     ),
     ("recursive", False): (
         "9d84d4acc10b8ddadf6e460f88f2a1e5e7dfcca5d429e8fb320237b7d15dbc33",

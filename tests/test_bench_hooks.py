@@ -97,7 +97,7 @@ def test_benchmark_hooks_pass_the_step_work_through(tmp_path, capsys, algo):
     _incl, _own, calls = tracer.totals()
     hooks = STAGES + ("fanpath.path",)
     if algo == "color-edges":
-        hooks += ("coloring.missing_color",)  # naive takes the free list's head
+        hooks += ("coloring.missing_color",)  # naive takes the free stack's top
     for name in hooks:
         assert calls[name] > 0, name
     assert calls["sequential.step"] == report["step_summary"]["calls"] == g.m

@@ -1,5 +1,7 @@
 """Partial-coloring state: mutations, sampling, verification, dumps."""
 
+import gc
+import tracemalloc
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import edgecolor.sequential
 from _util import colored_graphs, graphs, random_partial
+from edgecolor.bench import run_coloring
 from edgecolor.coloring import (
     UNCOLORED,
     AlreadyColoredError,
@@ -21,6 +24,7 @@ from edgecolor.coloring import (
     verify_colors,
     verify_proper,
 )
+from edgecolor.generators import gen_erdos_renyi
 from edgecolor.graph import ParseError, build_graph
 from edgecolor.oracles import enumerate_maximal_paths
 from edgecolor.sequential import color_edges
@@ -93,12 +97,44 @@ def test_some_missing_color():
     star = build_graph([(0, 1), (0, 2), (0, 3)], 4)
     chi = PartialColoring(star)
     assert chi.k == 4  # max_degree + 1
-    assert chi.some_missing_color(0) in {1, 2, 3, 4}
-    for e, c in [(0, 1), (1, 2), (2, 3)]:
+    picks = [chi.some_missing_color(0)]
+    for e, c in [(1, 2), (0, 1), (2, 3)]:
         chi.assign(e, c)
-    # all of 1..d(0) occupied, so the head of the free list is d(0)+1
-    assert chi.some_missing_color(0) == 4
+        picks.append(chi.some_missing_color(0))
+    # 1 stays the pick while it is free; then the free stack gives d(0)+1,
+    # which all of 1..d(0) occupied leaves as the only choice
+    assert picks == [1, 1, 4, 4]
+    chi.unassign(0)  # releases 1
+    chi.unassign(2)  # releases 3
+    assert chi.some_missing_color(0) == 4  # the top stays while it is free
+    chi.assign(0, 4)
+    assert chi.some_missing_color(0) == 3  # then the latest release
+    chi.assign(2, 3)
+    assert chi.some_missing_color(0) == 1  # then the one before it
     assert chi.is_missing(0, chi.some_missing_color(0))
+    assert validate_structures(chi) == []
+
+
+def test_free_stacks_stay_within_twice_their_low_colors():
+    # Releases push without popping, so a stack that is seldom queried
+    # grows until its rebuild; its cap is 2(d(v)+1) entries.
+    g = gen_erdos_renyi(30, 200, 2)
+    chi = PartialColoring(g)
+    rng = Random(4)
+    cap = [2 * (d + 1) for d in g.degree]
+    for _ in range(5000):
+        e = rng.randrange(g.m)
+        if chi.color[e] != UNCOLORED:
+            chi.unassign(e)
+        else:
+            u, v = g.endpoints[e]
+            both = [c for c in chi.missing_colors(u) if chi.is_missing(v, c)]
+            if both:
+                chi.assign(e, rng.choice(both))
+        x = rng.randrange(g.n)
+        assert chi.is_missing(x, chi.some_missing_color(x))
+        assert all(len(chi._free[v]) <= cap[v] for v in range(g.n))
+    assert validate_structures(chi) == []
 
 
 def test_random_missing_color_singleton():
@@ -210,12 +246,38 @@ def test_verify_colors_reports():
     assert any(v.kind == "color-out-of-range" for v in rep.violations)
 
 
+def test_color_edges_peaks_under_195_bytes_per_edge_on_the_flat_graph():
+    # The coloring state and the run's own lists, over a built graph.  It
+    # reads about 178 bytes per edge here; a second list per vertex beside
+    # the free stack (about 29 bytes per edge) fails the bound.
+    g = gen_erdos_renyi(3_000, 15_000, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_coloring(g, "color-edges", 1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / g.m <= 195
+
+
 def test_validate_structures_detects_drift():
     chi = PartialColoring(TRIANGLE)
     chi.assign(0, 1)
     assert validate_structures(chi) == []
     chi.color[0] = 2  # corrupt behind the structures' back
     assert validate_structures(chi) != []
+    chi = PartialColoring(TRIANGLE)
+    chi._free[0].remove(3)  # a free color missing from its stack
+    assert validate_structures(chi) == ["free stack wrong at vertex 0"]
+    chi._free[0].insert(0, 3)
+    assert validate_structures(chi) == []
+    chi._free[0].insert(0, 4)  # outside 1..d(0)+1
+    assert validate_structures(chi) == ["free stack wrong at vertex 0"]
+    chi._free[0][0] = 2  # a duplicate entry is fine, past the cap it is not
+    assert validate_structures(chi) == []
+    chi._free[0][:0] = [2, 2, 2]  # 7 entries, cap 2(d(0)+1) = 6
+    assert validate_structures(chi) == ["free stack wrong at vertex 0"]
 
 
 def test_swap_colors_along_single_edge_path():

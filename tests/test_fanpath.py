@@ -38,7 +38,7 @@ def test_make_primed_fan_single_edge():
     fan = make_primed_fan(g, chi, 0, center=0)
     assert fan.leaves == [1]
     assert fan.primed_index is None  # primed at the center
-    assert fan.primed_color == 1  # head of the free list at the leaf
+    assert fan.primed_color == 1  # top of the free stack at the leaf
     assert check_fan(g, chi, fan) == []
 
 
@@ -408,9 +408,9 @@ def test_extend_rejects_fan_whose_primed_index_misses_the_primed_color():
 # unassign plus one checked assign, so a shift that bypassed them would
 # move these counts; the benchmark's assign.calls work count reads the same.
 CHECKED_CALLS = {
-    "naive": (20051, 10106),
-    "color-edges": (13802, 3857),
-    "recursive": (40944, 1164),
+    "naive": (20409, 10464),
+    "color-edges": (13857, 3912),
+    "recursive": (40962, 1182),
 }
 
 

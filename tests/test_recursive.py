@@ -323,7 +323,7 @@ def test_one_coloring_per_recursion_node(monkeypatch):
 # for a seed shows here; repair runs on this graph (pruned weight 113 in
 # total).
 GOLDEN_DUMPS = {
-    "weight": "fea1804d420deb2014b7fe61533094260eab91e81ec694c9df24dd2c5d2a6476",
+    "weight": "6230580e0f2dac717936cbc3b294b457d6d941bd0a9f81f8b153f5461b78c474",
 }
 
 

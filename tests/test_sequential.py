@@ -140,7 +140,7 @@ def test_step_draws_c0_and_walks_the_path_only_when_primed_color_is_at_center(
 
     def counted_draw(chi, vertex, *rng):
         c0 = draw(chi, vertex, *rng)
-        if vertex == 0:  # the fan reads free lists at its leaves only
+        if vertex == 0:  # the fan reads free stacks at its leaves only
             draws.append(c0)
         return c0
 
@@ -261,7 +261,7 @@ def test_deterministic_single_edge():
     g = build_graph([(0, 1)], 2)
     chi = PartialColoring(g)
     color_one_edge_deterministic(g, chi, 0)
-    assert chi.color[0] == 1  # head of the free list
+    assert chi.color[0] == 1  # top of the free stack
     with pytest.raises(InvalidFanError):
         color_one_edge_deterministic(g, chi, 0)
 
@@ -319,16 +319,16 @@ def test_mean_step_work_tracks_weight_over_first_half(monkeypatch):
 
 # sha256 of the coloring dump per sequential colorer, on the benchmark's
 # hub graph and on a preferential-attachment graph.  Any change to the
-# fan, the path walk, the extension or the free-list order that alters
+# fan, the path walk, the extension or the free-stack order that alters
 # the output for a seed shows here.
 GOLDEN_SEQUENTIAL = {
     "naive": (
-        "55295f5c7aae9c99713014e9a3eb00b3312f65f06d250baa1f14211933222379",
-        "722763137ceccaebf338dbfe3553217fc7b306090cf13d60977c55f91e40409c",
+        "0ba49974c8ad3e80ce66dd9bdd8db334e950a9d38a9e33fddf242a3c5e795301",
+        "5329c9ab3d01d17dfff3cc83ff3dc8cea9fa0ebe1cdbe5db388207bb55dbd5e7",
     ),
     "color-edges": (
-        "2ecb3ed655f81ab544d3dda89d02105dd46f5f2fd629883de01318be3d78d306",
-        "06e188f2ebd7132646cc46aaba8575cf24214d51c11cc7645aab2be65deaacae",
+        "79945b25eb4400f93e0b65327b7af0f66cd61edf4330e98df7d3dd6fccc0f667",
+        "6e1c1b50bcbf347ff0232865270d4e9ec75a4c01bfafa086e7c12a97b4d71b95",
     ),
 }
 
