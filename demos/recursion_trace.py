@@ -16,7 +16,7 @@ from edgecolor import (
     generate,
     recursion_threshold,
     recursive_color_edges,
-    verify_proper,
+    verify_colors,
 )
 
 
@@ -49,7 +49,7 @@ def main():
     print(f"\nsplits: {len(internal)}, leaves: {len(trace) - len(internal)}")
     print(f"total weight repaired after pruning: {repaired}"
           f" (root weight {trace[-1].weight})")
-    report = verify_proper(g, chi)
+    report = verify_colors(g, chi.color, chi.k)
     print(f"final coloring proper: {report.proper},"
           f" colors used {report.colors_used} <= {g.max_degree + 1}")
 

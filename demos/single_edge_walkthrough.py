@@ -14,7 +14,7 @@ from edgecolor import (
     extend_coloring,
     make_primed_fan,
     maximal_alternating_path,
-    verify_proper,
+    verify_colors,
 )
 
 
@@ -64,7 +64,7 @@ def main():
     extend_coloring(g, chi, fan, path)
     print()
     show(g, chi, "after the step")
-    report = verify_proper(g, chi)
+    report = verify_colors(g, chi.color, chi.k)
     print(f"\nproper: {report.proper}, colored edges now: {g.m - report.uncolored}/{g.m}")
     print("the path edges swapped their two colors, the fan rotated its")
     print(f"spoke colors toward the target, and color {c0} landed on the freed spoke")

@@ -12,8 +12,8 @@ alternating paths, the single-edge extension), :mod:`edgecolor.sequential`
 (randomized and deterministic full colorings), :mod:`edgecolor.recursive`
 (Euler-partition recursion with prune and repair),
 :mod:`edgecolor.generators` (seeded benchmark families),
-:mod:`edgecolor.oracles` (brute-force cross-checks), :mod:`edgecolor.bench`
-(timed runs and reports) and :mod:`edgecolor.cli` (command line).
+:mod:`edgecolor.bench` (timed runs and reports) and :mod:`edgecolor.cli`
+(command line).
 """
 
 from .bench import ALGORITHMS, RunResult, build_report, run_coloring
@@ -24,7 +24,6 @@ from .coloring import (
     format_coloring,
     parse_coloring,
     verify_colors,
-    verify_proper,
 )
 from .fanpath import (
     AlternatingPath,
@@ -102,6 +101,5 @@ __all__ = [
     "recursive_color_edges",
     "run_coloring",
     "verify_colors",
-    "verify_proper",
     "write_edge_list",
 ]

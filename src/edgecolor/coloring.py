@@ -19,10 +19,7 @@ derives it from the color array in O(m), and
 :func:`edgecolor.sequential.color_edges`, the one caller that samples it,
 keeps its own swap-removal list.
 
-All single-edge mutations are O(1) amortized.  The structures are
-redundant with the color array on purpose; :func:`validate_structures`
-recomputes them from scratch and reports any drift, and
-:func:`verify_proper` checks properness without consulting them at all.
+All single-edge mutations are O(1) amortized.
 
 :meth:`PartialColoring.from_colors` takes a whole color array at once.
 For a total coloring it checks properness in O(m) and leaves the
@@ -132,11 +129,6 @@ class PartialColoring:
         """True when no edge at ``vertex`` carries ``color``."""
         return color not in self.occupied[vertex]
 
-    def missing_colors(self, vertex: int) -> list[int]:
-        """All missing colors at a vertex, ascending.  O(k); for tests."""
-        occ = self.occupied[vertex]
-        return [c for c in range(1, self.k + 1) if c not in occ]
-
     # -- structure maintenance, O(1) amortized --------------------------
 
     def _release(self, vertex: int, color: int) -> None:
@@ -242,17 +234,6 @@ class PartialColoring:
         pool = [c for c in range(1, k + 1) if c not in occ]
         return pool[randbelow(rng, len(pool))]
 
-    # -- copying ----------------------------------------------------------
-
-    def copy(self) -> PartialColoring:
-        new = object.__new__(PartialColoring)
-        new.g = self.g
-        new.k = self.k
-        new.color = self.color[:]
-        new.occupied = [d.copy() for d in self.occupied]
-        new._free = [f[:] for f in self._free]
-        return new
-
 
 _INDEX = frozenset(("occupied", "_free"))
 
@@ -342,38 +323,6 @@ def verify_colors(g: Graph, colors: Sequence[int], palette: int) -> ColoringRepo
         uncolored=uncolored,
         violations=tuple(violations),
     )
-
-
-def verify_proper(g: Graph, chi: PartialColoring) -> ColoringReport:
-    """Full properness scan of a coloring, bypassing its incremental state."""
-    return verify_colors(g, chi.color, chi.k)
-
-
-def validate_structures(chi: PartialColoring) -> list[str]:
-    """Cross-check the incremental structures against a recomputation.
-
-    Returns human-readable mismatch descriptions; empty means consistent.
-    """
-    g = chi.g
-    problems: list[str] = []
-    expect_occ: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for e in range(g.m):
-        c = chi.color[e]
-        if c == UNCOLORED:
-            continue
-        u, v = g.endpoints[e]
-        for x in (u, v):
-            if c in expect_occ[x]:
-                problems.append(f"improper: color {c} twice at vertex {x}")
-            expect_occ[x][c] = e
-    for v in range(g.n):
-        if chi.occupied[v] != expect_occ[v]:
-            problems.append(f"occupied map stale at vertex {v}")
-        low = set(range(1, g.degree[v] + 2))
-        free = chi._free[v]
-        if not low - expect_occ[v].keys() <= set(free) <= low or len(free) > 2 * len(low):
-            problems.append(f"free stack wrong at vertex {v}")
-    return problems
 
 
 # -- dump format --------------------------------------------------------------

@@ -187,8 +187,8 @@ def extend_coloring(
     primed color (else :class:`InvalidFanError`), and the path starts at
     the center on that color and is maximal at both ends (else
     :class:`NotMaximalError`).  The shift moves each color through the
-    conflict-checked ``unassign``/``assign``; :mod:`edgecolor.oracles`
-    holds the full O(length) checks of the path and the fan.
+    conflict-checked ``unassign``/``assign``; the full O(length) checks
+    of the path and the fan live in the test suite.
     """
     v = fan.center
     c1 = fan.primed_color

@@ -1,11 +1,11 @@
 """Seeded graph families for tests and benchmarks.
 
 All generators are deterministic in their seed and return simple graphs.
-The star / forest-union / star-plus-forests / grid families come with a
-known arboricity bound (``GenSpec.known_arboricity``), against which the
-tests check the weight-versus-density claims on generated inputs.  The
-forest-based families draw each forest by random attachment, which gives
-no particular distribution over forests but a forest by construction.
+The star / forest-union / star-plus-forests / grid families have an
+arboricity bound by construction, against which the tests check the
+weight-versus-density claims on generated inputs.  The forest-based
+families draw each forest by random attachment, which gives no
+particular distribution over forests but a forest by construction.
 """
 
 from __future__ import annotations
@@ -54,18 +54,6 @@ class GenSpec:
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-    def known_arboricity(self) -> int | None:
-        """Upper bound on arboricity guaranteed by construction, if any."""
-        if self.family == "star":
-            return 1
-        if self.family in ("forest-union", "star-plus-forests"):
-            return self.alpha
-        if self.family == "grid":
-            if self.rows == 1 or self.cols == 1:
-                return 1
-            return 2
-        return None
 
 
 def generate(spec: GenSpec) -> Graph:

@@ -297,11 +297,6 @@ def write_edge_list(g: Graph) -> str:
     return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % pairs
 
 
-def canonical_edge_list(g: Graph) -> list[tuple[int, int]]:
-    """Sorted list of normalized ``(min, max)`` endpoint pairs."""
-    return sorted((u, v) if u < v else (v, u) for u, v in g.endpoints)
-
-
 def randbelow(rng: Random, n: int) -> int:
     """Uniform integer in ``0..n-1``: the value ``rng.randrange(n)`` returns.
 

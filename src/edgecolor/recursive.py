@@ -55,12 +55,6 @@ class EulerSplit:
     left_edges: list[int]
     right_edges: list[int]
 
-    def side_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Per side, degrees keyed by parent vertex id (absent = 0)."""
-        left = {p: self.left.degree[c] for c, p in enumerate(self.left_vertices)}
-        right = {p: self.right.degree[c] for c, p in enumerate(self.right_vertices)}
-        return left, right
-
 
 def euler_partition(g: Graph) -> EulerSplit:
     """Split ``g`` into two halves along an Euler partition.

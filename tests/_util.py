@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from edgecolor.coloring import PartialColoring
 from edgecolor.graph import Graph, build_graph
-from edgecolor.oracles import sample_partial_coloring
+from oracles import sample_partial_coloring
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

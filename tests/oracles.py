@@ -1,9 +1,10 @@
-"""Brute-force oracles for cross-checking the fast implementations.
+"""Test-only oracles and helpers for cross-checking the fast implementations.
 
 The checks recompute from first principles: maximal alternating paths
 are found by scanning two-color subgraphs rather than walking the
-incremental occupied maps, and fans are validated against the graph
-and the live coloring.  The exhaustive suite is the exception: it
+incremental occupied maps, fans are validated against the graph and the
+live coloring, and ``validate_structures`` rebuilds a coloring's index
+from its color array.  The exhaustive suite is the exception: it
 replays the fast ``make_primed_fan``, ``maximal_alternating_path`` and
 ``extend_coloring`` over every small graph, and judges each result by
 an independent properness scan (``verify_proper``).
@@ -14,9 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .coloring import UNCOLORED, PartialColoring, verify_proper
-from .fanpath import AlternatingPath, extend_coloring, make_primed_fan, maximal_alternating_path
-from .graph import Graph, build_graph, edge_weight
+from edgecolor.coloring import UNCOLORED, ColoringReport, PartialColoring, verify_colors
+from edgecolor.fanpath import (
+    AlternatingPath,
+    extend_coloring,
+    make_primed_fan,
+    maximal_alternating_path,
+)
+from edgecolor.generators import GenSpec
+from edgecolor.graph import Graph, build_graph, edge_weight
+from edgecolor.recursive import EulerSplit
 
 
 @dataclass
@@ -200,7 +208,7 @@ def exhaustive_extend_suite(
             base = sample_partial_coloring(g, rng)
             for e in base.uncolored:
                 for center in g.endpoints[e]:
-                    chi = base.copy()
+                    chi = PartialColoring.from_colors(g, base.color[:])
                     before = chi.uncolored_count
                     was_colored = [i for i in range(g.m) if chi.color[i] != UNCOLORED]
                     c0 = chi.random_missing_color(center, rng)
@@ -260,3 +268,66 @@ def check_fan(g: Graph, chi: PartialColoring, fan) -> list[str]:
         if chi.color[fan.edge_ids[j + 1]] != c1:
             problems.append("primed color does not match the fan edge after its leaf")
     return problems
+
+
+def verify_proper(g: Graph, chi: PartialColoring) -> ColoringReport:
+    """Full properness scan of a coloring, bypassing its incremental state."""
+    return verify_colors(g, chi.color, chi.k)
+
+
+def validate_structures(chi: PartialColoring) -> list[str]:
+    """Cross-check the incremental structures against a recomputation.
+
+    Returns human-readable mismatch descriptions; empty means consistent.
+    """
+    g = chi.g
+    problems: list[str] = []
+    expect_occ: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for e in range(g.m):
+        c = chi.color[e]
+        if c == UNCOLORED:
+            continue
+        u, v = g.endpoints[e]
+        for x in (u, v):
+            if c in expect_occ[x]:
+                problems.append(f"improper: color {c} twice at vertex {x}")
+            expect_occ[x][c] = e
+    for v in range(g.n):
+        if chi.occupied[v] != expect_occ[v]:
+            problems.append(f"occupied map stale at vertex {v}")
+        low = set(range(1, g.degree[v] + 2))
+        free = chi._free[v]
+        if not low - expect_occ[v].keys() <= set(free) <= low or len(free) > 2 * len(low):
+            problems.append(f"free stack wrong at vertex {v}")
+    return problems
+
+
+def missing_colors(chi: PartialColoring, vertex: int) -> list[int]:
+    """All missing colors at a vertex, ascending.  O(k)."""
+    occ = chi.occupied[vertex]
+    return [c for c in range(1, chi.k + 1) if c not in occ]
+
+
+def canonical_edge_list(g: Graph) -> list[tuple[int, int]]:
+    """Sorted list of normalized ``(min, max)`` endpoint pairs."""
+    return sorted((u, v) if u < v else (v, u) for u, v in g.endpoints)
+
+
+def side_degrees(split: EulerSplit) -> tuple[dict[int, int], dict[int, int]]:
+    """Per side, degrees keyed by parent vertex id (absent = 0)."""
+    left = {p: split.left.degree[c] for c, p in enumerate(split.left_vertices)}
+    right = {p: split.right.degree[c] for c, p in enumerate(split.right_vertices)}
+    return left, right
+
+
+def known_arboricity(spec: GenSpec) -> int | None:
+    """Upper bound on arboricity guaranteed by construction, if any."""
+    if spec.family == "star":
+        return 1
+    if spec.family in ("forest-union", "star-plus-forests"):
+        return spec.alpha
+    if spec.family == "grid":
+        if spec.rows == 1 or spec.cols == 1:
+            return 1
+        return 2
+    return None

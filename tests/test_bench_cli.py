@@ -17,9 +17,10 @@ import edgecolor
 from _util import graphs
 from edgecolor.bench import ALGORITHMS, build_report, run_coloring
 from edgecolor.cli import main
-from edgecolor.coloring import validate_structures, verify_colors, verify_proper
+from edgecolor.coloring import verify_colors
 from edgecolor.generators import gen_star_plus_forests
 from edgecolor.graph import build_graph, write_edge_list
+from oracles import validate_structures, verify_proper
 
 
 @pytest.fixture()

@@ -1,11 +1,13 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo prints something, and the README quickstart prints what it says."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -16,3 +18,10 @@ def test_demos_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_quickstart_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"\n## Library quickstart\n\n```python\n(.*?)```", readme, re.S)
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == ["True", "True 8"]

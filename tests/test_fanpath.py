@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from _util import colored_graphs, random_graph, random_partial
 from edgecolor.bench import ALGORITHMS, run_coloring
-from edgecolor.coloring import (
-    UNCOLORED,
-    ColoringError,
-    PartialColoring,
-    validate_structures,
-    verify_proper,
-)
+from edgecolor.coloring import UNCOLORED, ColoringError, PartialColoring
 from edgecolor.fanpath import (
     AlternatingPath,
     InvalidFanError,
@@ -26,7 +20,14 @@ from edgecolor.fanpath import (
 )
 from edgecolor.generators import gen_preferential_attachment
 from edgecolor.graph import build_graph
-from edgecolor.oracles import check_fan, count_internal_memberships, enumerate_maximal_paths
+from oracles import (
+    check_fan,
+    count_internal_memberships,
+    enumerate_maximal_paths,
+    missing_colors,
+    validate_structures,
+    verify_proper,
+)
 
 STAR4 = build_graph([(0, 1), (0, 2), (0, 3)], 4)  # center 0
 P3 = build_graph([(0, 1), (1, 2)], 3)
@@ -99,10 +100,10 @@ def test_shift_fan_noop_and_single_rotation():
     chi.assign(1, 1)
     fan = make_primed_fan(STAR4, chi, 0, 0)
     assert (fan.leaves, fan.primed_color, fan.primed_index) == ([1, 2], 2, None)
-    m_before = set(chi.missing_colors(0))
+    m_before = set(missing_colors(chi, 0))
     extend_coloring(STAR4, chi, fan, None)
     assert chi.color[:2] == [1, 2]  # color 1 shifted down, the primed 2 placed
-    assert set(chi.missing_colors(0)) == m_before - {2}
+    assert set(missing_colors(chi, 0)) == m_before - {2}
     assert verify_proper(STAR4, chi).proper
     assert validate_structures(chi) == []
 
@@ -118,9 +119,9 @@ def test_extend_takes_one_missing_color_from_the_center(pair, seed):
         return
     e = chi.uncolored[rng.randrange(len(chi.uncolored))]
     center = g.endpoints[e][rng.randrange(2)]
-    m_before = set(chi.missing_colors(center))
+    m_before = set(missing_colors(chi, center))
     _run_pipeline(g, chi, e, center, rng)
-    m_after = set(chi.missing_colors(center))
+    m_after = set(missing_colors(chi, center))
     assert m_after < m_before and len(m_before - m_after) == 1
     assert verify_proper(g, chi).proper
     assert validate_structures(chi) == []
@@ -249,7 +250,7 @@ def test_maximal_path_is_maximal_and_unique(pair, seed):
     if g.n == 0 or chi.k < 2:
         return
     u = rng.randrange(g.n)
-    missing = chi.missing_colors(u)
+    missing = missing_colors(chi, u)
     if not missing:
         return
     c0 = rng.choice(missing)

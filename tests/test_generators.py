@@ -22,13 +22,8 @@ from edgecolor.generators import (
     gen_star_plus_forests,
     generate,
 )
-from edgecolor.graph import (
-    build_graph,
-    canonical_edge_list,
-    degeneracy,
-    graph_weight,
-    write_edge_list,
-)
+from edgecolor.graph import build_graph, degeneracy, graph_weight, write_edge_list
+from oracles import canonical_edge_list, known_arboricity
 
 
 def test_star_shapes():
@@ -236,10 +231,10 @@ def test_genspec_round_trip():
 
 
 def test_known_arboricity():
-    assert GenSpec(family="star", n=9).known_arboricity() == 1
-    assert GenSpec(family="forest-union", n=9, alpha=4).known_arboricity() == 4
-    assert GenSpec(family="star-plus-forests", n=9, alpha=2).known_arboricity() == 2
-    assert GenSpec(family="grid", rows=3, cols=3).known_arboricity() == 2
-    assert GenSpec(family="grid", rows=1, cols=9).known_arboricity() == 1
-    assert GenSpec(family="erdos-renyi", n=9, m=3).known_arboricity() is None
-    assert GenSpec(family="preferential-attachment", n=9, degree=2).known_arboricity() is None
+    assert known_arboricity(GenSpec(family="star", n=9)) == 1
+    assert known_arboricity(GenSpec(family="forest-union", n=9, alpha=4)) == 4
+    assert known_arboricity(GenSpec(family="star-plus-forests", n=9, alpha=2)) == 2
+    assert known_arboricity(GenSpec(family="grid", rows=3, cols=3)) == 2
+    assert known_arboricity(GenSpec(family="grid", rows=1, cols=9)) == 1
+    assert known_arboricity(GenSpec(family="erdos-renyi", n=9, m=3)) is None
+    assert known_arboricity(GenSpec(family="preferential-attachment", n=9, degree=2)) is None

@@ -19,7 +19,6 @@ from edgecolor.graph import (
     SelfLoopError,
     VertexOutOfRangeError,
     build_graph,
-    canonical_edge_list,
     degeneracy,
     edge_weight,
     graph_stats,
@@ -29,6 +28,7 @@ from edgecolor.graph import (
     write_edge_list,
 )
 from edgecolor.recursive import euler_partition
+from oracles import canonical_edge_list
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 

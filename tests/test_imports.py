@@ -1,5 +1,6 @@
 """The runtime imports the standard library only, starts no processes,
-reads no environment variables, and exports only names it defines.
+reads no environment variables, exports only names it defines, and the
+command line reaches every module.
 """
 
 import ast
@@ -56,3 +57,19 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     missing = [name for name in names if not hasattr(edgecolor, name)]
     assert not missing, missing
+
+
+def test_every_module_is_reached_from_the_cli():
+    # Code that only tests use lives under tests/, not in the package.
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # from .name import ..., or from . import name
+                found = [node.module] if node.module else [a.name for a in node.names]
+                todo += [f for f in found if f in modules - reached]
+    assert modules - reached == set()

@@ -4,19 +4,20 @@ from dataclasses import replace
 from random import Random
 
 from _util import random_graph, random_partial
-from edgecolor.coloring import PartialColoring, verify_proper
+from edgecolor.coloring import PartialColoring
 from edgecolor.fanpath import make_primed_fan, maximal_alternating_path
 from edgecolor.generators import gen_erdos_renyi
 from edgecolor.graph import build_graph
-from edgecolor.oracles import (
-    check_fan,
+from edgecolor.recursive import recursive_color_edges
+from edgecolor.sequential import color_edges
+from oracles import (
     check_edge_membership_bounds,
+    check_fan,
     enumerate_maximal_paths,
     exhaustive_extend_suite,
     sample_partial_coloring,
+    verify_proper,
 )
-from edgecolor.recursive import recursive_color_edges
-from edgecolor.sequential import color_edges
 
 
 def test_enumerate_single_colored_edge():

@@ -5,10 +5,9 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _util import all_pairs, graphs, random_graph
-from edgecolor.coloring import PartialColoring, format_coloring, verify_colors, verify_proper
+from edgecolor.coloring import PartialColoring, format_coloring, verify_colors
 from edgecolor.generators import (
     gen_erdos_renyi,
     gen_forest_union,
@@ -17,7 +16,7 @@ from edgecolor.generators import (
     gen_star,
     gen_star_plus_forests,
 )
-from edgecolor.graph import build_graph, edge_weight, graph_weight
+from edgecolor.graph import build_graph
 from edgecolor.recursive import (
     EulerSplit,
     ImproperInputError,
@@ -30,11 +29,12 @@ from edgecolor.recursive import (
     recursive_color_edges,
 )
 from edgecolor.sequential import color_edges
+from oracles import side_degrees, verify_proper
 
 
 def _check_split(g, split: EulerSplit) -> None:
     assert split.left.m + split.right.m == g.m
-    left_deg, right_deg = split.side_degrees()
+    left_deg, right_deg = side_degrees(split)
     for v in range(g.n):
         dl = left_deg.get(v, 0)
         dr = right_deg.get(v, 0)

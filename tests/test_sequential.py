@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 import edgecolor.sequential
 from _util import graphs, random_graph, random_partial
 from edgecolor.bench import run_coloring
-from edgecolor.coloring import (
-    PartialColoring,
-    UNCOLORED,
-    format_coloring,
-    validate_structures,
-    verify_proper,
-)
+from edgecolor.coloring import UNCOLORED, PartialColoring, format_coloring
 from edgecolor.fanpath import InvalidFanError, make_primed_fan
 from edgecolor.generators import (
     gen_erdos_renyi,
@@ -31,6 +25,7 @@ from edgecolor.sequential import (
     color_one_edge,
     color_one_edge_deterministic,
 )
+from oracles import missing_colors, validate_structures, verify_proper
 
 
 def _record_steps(monkeypatch) -> tuple[list[tuple[int, int]], list[int]]:
@@ -133,7 +128,7 @@ def test_step_draws_c0_and_walks_the_path_only_when_primed_color_is_at_center(
     for e, c in enumerate(colors, start=1):
         chi.assign(e, c)
     assert (make_primed_fan(g, chi, 0, 0).primed_index is not None) == primed_at_center
-    missing_before = set(chi.missing_colors(0))
+    missing_before = set(missing_colors(chi, 0))
     draws, walks = [], []
     draw = getattr(PartialColoring, draw_name)
     walk = edgecolor.sequential.maximal_alternating_path
