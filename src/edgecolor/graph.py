@@ -18,6 +18,7 @@ generators and colorers share.
 from __future__ import annotations
 
 import io
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from random import Random
@@ -264,6 +265,11 @@ def read_edge_list(source: str | TextIO) -> Graph:
     line: a :class:`ParseError`, or an :class:`EdgeError` from
     :func:`build_graph` with the line prefixed.  A header ``n`` above
     ``2 * m + 2**20`` fails before anything is allocated per vertex.
+    Per-vertex state past ``2**20`` vertices waits for the edges that
+    justify it: with a larger ``n`` the first ``(n - 2**20) / 2`` pairs
+    are read and held before :func:`build_graph` starts, so a file with
+    fewer fails on its count, and a bad edge among them is named by its
+    own line once they have all been read.
     """
     pairs = IntPairs(source)
     header = next(pairs, None)
@@ -273,16 +279,28 @@ def read_edge_list(source: str | TextIO) -> Graph:
     header_line = pairs.line_no
     if n < 0 or m < 0:
         raise ParseError(header_line, "header counts must be non-negative")
-    # Only isolated vertices lie beyond 2m, so this bounds the per-vertex
-    # memory build_graph allocates (an adjacency list and a transient slot
-    # of its vertex-id table per declared vertex) by the edges plus a
-    # fixed slack.
+    # Only isolated vertices lie beyond 2m.  build_graph allocates an
+    # adjacency list and a transient slot of its vertex-id table per
+    # declared vertex before it reads an edge, so past the fixed slack the
+    # edges that bound n must be read first: the declared m proves nothing.
     if n > 2 * m + 2**20:
         raise ParseError(header_line, f"header n={n} exceeds 2*m + {2**20}")
+    edges = islice(pairs, m)
+    held_lines = array("q")
+    if n > 2**20:
+        need = (n - 2**20 + 1) // 2
+        held = []
+        for pair in islice(edges, need):
+            held.append(pair)
+            held_lines.append(pairs.line_no)
+        if len(held) < need:
+            raise ParseError(header_line, f"header promises {m} edges, found {len(held)}")
+        edges = chain(held, edges)
     try:
-        g = build_graph(islice(pairs, m), n)
+        g = build_graph(edges, n)
     except EdgeError as exc:
-        exc.args = (f"line {pairs.line_no}: {exc}",)
+        line = held_lines[exc.index] if exc.index < len(held_lines) else pairs.line_no
+        exc.args = (f"line {line}: {exc}",)
         raise
     if g.m != m:
         raise ParseError(header_line, f"header promises {m} edges, found {g.m}")

@@ -20,8 +20,10 @@ which keeps repair cheap on every level.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from random import Random
 
 from .coloring import UNCOLORED, ColorConflictError, PartialColoring
@@ -30,6 +32,7 @@ from .sequential import color_edges
 
 LEFT = 0
 RIGHT = 1
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # LEFT <-> RIGHT in a side array
 
 
 class ImproperInputError(ValueError):
@@ -38,22 +41,35 @@ class ImproperInputError(ValueError):
 
 @dataclass(frozen=True)
 class EulerSplit:
-    """Result of an Euler partition.
+    """Result of an Euler partition of ``g``.
 
-    The two child graphs use dense vertex and edge ids of their own;
-    ``left_vertices[i]`` is the parent id of the left child's vertex
-    ``i`` and ``left_edges[i]`` the parent id of its edge ``i`` (same for
-    the right).  Each edge list is ascending, and the two together hold
-    every parent edge once.  Vertices isolated on a side are dropped
-    from that child.
+    ``side[e]`` is ``LEFT`` or ``RIGHT`` for each parent edge ``e``.
+    Each side's child graph is built only when :meth:`child` asks for it.
     """
 
-    left: Graph
-    right: Graph
-    left_vertices: list[int]
-    right_vertices: list[int]
-    left_edges: list[int]
-    right_edges: list[int]
+    g: Graph
+    side: bytearray
+
+    def child(self, s: int) -> tuple[Graph, list[int]]:
+        """Side ``s``'s graph, with dense ids, and each child vertex's parent id.
+
+        Child edge ``i`` is the side's ``i``-th parent edge in id order;
+        child vertices are numbered in order of first appearance, so
+        vertices isolated on the side are dropped.
+        """
+        mask = self.side if s == RIGHT else self.side.translate(_FLIP)
+        index = [-1] * self.g.n
+        vertices: list[int] = []
+        pairs: list[tuple[int, int]] = []
+        for u, v in compress(self.g.endpoints, mask):
+            if index[u] < 0:
+                index[u] = len(vertices)
+                vertices.append(u)
+            if index[v] < 0:
+                index[v] = len(vertices)
+                vertices.append(v)
+            pairs.append((index[u], index[v]))
+        return build_graph(pairs, len(vertices)), vertices
 
 
 def euler_partition(g: Graph) -> EulerSplit:
@@ -99,58 +115,27 @@ def euler_partition(g: Graph) -> EulerSplit:
             walk(v, LEFT)
     for v in range(g.n):
         walk(v, RIGHT if degree[v] & 1 else LEFT)
-    return _materialize_split(g, side)
-
-
-def _materialize_split(g: Graph, side: bytearray) -> EulerSplit:
-    """Build each side's child from its parent edges in id order.
-
-    Child vertices are numbered in order of first appearance.
-    """
-    edges: tuple[list[int], list[int]] = ([], [])
-    for e, s in enumerate(side):
-        edges[s].append(e)
-    endpoints = g.endpoints
-    children = []
-    for eids in edges:
-        index = [-1] * g.n
-        vertices: list[int] = []
-        pairs: list[tuple[int, int]] = []
-        for e in eids:
-            u, v = endpoints[e]
-            if index[u] < 0:
-                index[u] = len(vertices)
-                vertices.append(u)
-            if index[v] < 0:
-                index[v] = len(vertices)
-                vertices.append(v)
-            pairs.append((index[u], index[v]))
-        children.append((build_graph(pairs, len(vertices)), vertices))
-    (left, left_vertices), (right, right_vertices) = children
-    return EulerSplit(left, right, left_vertices, right_vertices, edges[LEFT], edges[RIGHT])
+    return EulerSplit(g, side)
 
 
 def merge_colorings(
-    g: Graph, split: EulerSplit, chi_left: PartialColoring, chi_right: PartialColoring
+    split: EulerSplit, left: list[int], k_left: int, right: list[int], k_right: int
 ) -> tuple[list[int], int]:
     """Combine two total child colorings over disjoint palettes.
 
-    Returns the parent's color array, indexed by parent edge id, and its
-    palette size ``k_left + k_right``: right-side colors are offset by
-    the left palette size.  Raises :class:`ImproperInputError` if either
-    input is partial.  No conflict check is needed: each child is proper
-    by construction and the two palettes are disjoint, so the checked
-    assignment happens once, in :func:`prune_min_weight_colors`.
+    ``left`` and ``right`` are the children's color arrays, indexed by
+    child edge id.  Returns the parent's color array, indexed by parent
+    edge id, and its palette size ``k_left + k_right``: right-side colors
+    are offset by the left palette size.  Raises
+    :class:`ImproperInputError` if either input is partial.  No conflict
+    check is needed: each child is proper by construction and the two
+    palettes are disjoint, so the checked assignment happens once, in
+    :func:`prune_min_weight_colors`.
     """
-    if UNCOLORED in chi_left.color or UNCOLORED in chi_right.color:
+    if UNCOLORED in left or UNCOLORED in right:
         raise ImproperInputError("merge requires total colorings on both sides")
-    offset = chi_left.k
-    colors = [UNCOLORED] * g.m
-    for e, c in zip(split.left_edges, chi_left.color):
-        colors[e] = c
-    for e, c in zip(split.right_edges, chi_right.color):
-        colors[e] = offset + c
-    return colors, offset + chi_right.k
+    take = (iter(left).__next__, map(k_left.__add__, right).__next__)
+    return [take[s]() for s in split.side], k_left + k_right
 
 
 def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColoring:
@@ -179,7 +164,8 @@ def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColor
     for (u, v), c in zip(g.endpoints, colors):
         du, dv = degree[u], degree[v]
         cost[c] += du if du < dv else dv
-    doomed = set(sorted(range(1, k + 1), key=lambda c: (cost[c], c))[: max(surplus, 0)])
+    # nsmallest is stable, so ties go to the lower color.
+    doomed = set(heapq.nsmallest(max(surplus, 0), range(1, k + 1), key=cost.__getitem__))
     remap = [UNCOLORED] * (k + 1)
     nxt = 1
     for c in range(1, k + 1):
@@ -244,7 +230,10 @@ def recursive_color_edges(
 # so these names, ``level``'s place and that one call must stay.  ``vmap``
 # maps this node's vertices to root ids; it is kept only when tracing.
 # A merged node whose prune uncolors nothing hands color_edges nothing to
-# do, so its coloring's index is never built (see from_colors).
+# do, so its coloring's index is never built (see from_colors).  A node
+# holds only its own graph: each child is built just before its recursion
+# and shrinks to its color array once colored, so the live graphs are the
+# chain from the root to the current node.
 def _recurse(
     g: Graph,
     rng: Random,
@@ -258,15 +247,15 @@ def _recurse(
         chi = PartialColoring(g)
     else:
         split = euler_partition(g)
-        seed_left = rng.getrandbits(64)
-        seed_right = rng.getrandbits(64)
-        lmap = rmap = None
-        if trace is not None:
-            lmap = [vmap[p] for p in split.left_vertices]
-            rmap = [vmap[p] for p in split.right_vertices]
-        chi_left = _recurse(split.left, Random(seed_left), trace, threshold, lmap, level + 1)
-        chi_right = _recurse(split.right, Random(seed_right), trace, threshold, rmap, level + 1)
-        colors, merged = merge_colorings(g, split, chi_left, chi_right)
+        seeds = rng.getrandbits(64), rng.getrandbits(64)
+        halves = []
+        for s in (LEFT, RIGHT):
+            child, vertices = split.child(s)
+            vertices = [vmap[p] for p in vertices] if trace is not None else None
+            chi = _recurse(child, Random(seeds[s]), trace, threshold, vertices, level + 1)
+            halves += chi.color, chi.k
+            del child, vertices, chi
+        colors, merged = merge_colorings(split, *halves)
         chi = prune_min_weight_colors(g, colors, merged)
         if trace is not None:
             pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)

@@ -24,7 +24,7 @@ from edgecolor.fanpath import (
 )
 from edgecolor.generators import GenSpec
 from edgecolor.graph import Graph, build_graph, edge_weight
-from edgecolor.recursive import EulerSplit
+from edgecolor.recursive import LEFT, RIGHT, EulerSplit
 
 
 @dataclass
@@ -315,8 +315,10 @@ def canonical_edge_list(g: Graph) -> list[tuple[int, int]]:
 
 def side_degrees(split: EulerSplit) -> tuple[dict[int, int], dict[int, int]]:
     """Per side, degrees keyed by parent vertex id (absent = 0)."""
-    left = {p: split.left.degree[c] for c, p in enumerate(split.left_vertices)}
-    right = {p: split.right.degree[c] for c, p in enumerate(split.right_vertices)}
+    left, right = (
+        {p: child.degree[c] for c, p in enumerate(vertices)}
+        for child, vertices in (split.child(LEFT), split.child(RIGHT))
+    )
     return left, right
 
 

@@ -79,6 +79,8 @@ def test_benchmark_hooks_wrap_the_call_path_and_restore(tmp_path, capsys):
     # base or a repair, and every node that splits repairs.
     assert calls["recursive.base"] + calls["recursive.repair"] == calls["recursive.node"]
     assert calls["recursive.repair"] == calls["recursive.split"]
+    # Each split's two children are built on demand, through the hooked name.
+    assert calls["graph.build"] == 2 * calls["recursive.split"]
     # The hooked depth is read from _recurse's sixth positional argument;
     # it must be the deepest level of the same run.
     trace = []

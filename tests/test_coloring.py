@@ -22,7 +22,7 @@ from edgecolor.coloring import (
     parse_coloring,
     verify_colors,
 )
-from edgecolor.generators import gen_erdos_renyi
+from edgecolor.generators import GenSpec, gen_erdos_renyi, gen_preferential_attachment, generate
 from edgecolor.graph import ParseError, build_graph
 from edgecolor.sequential import color_edges
 from oracles import enumerate_maximal_paths, missing_colors, validate_structures, verify_proper
@@ -244,19 +244,39 @@ def test_verify_colors_reports():
     assert any(v.kind == "color-out-of-range" for v in rep.violations)
 
 
+def _peak_bytes_per_edge(g, algo):
+    """tracemalloc peak of one ``run_coloring`` call over a built graph, per edge."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_coloring(g, algo, 1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / g.m
+
+
 def test_color_edges_peaks_under_195_bytes_per_edge_on_the_flat_graph():
     # The coloring state and the run's own lists, over a built graph.  It
     # reads about 178 bytes per edge here; a second list per vertex beside
     # the free stack (about 29 bytes per edge) fails the bound.
-    g = gen_erdos_renyi(3_000, 15_000, 1)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        run_coloring(g, "color-edges", 1)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / g.m <= 195
+    assert _peak_bytes_per_edge(gen_erdos_renyi(3_000, 15_000, 1), "color-edges") <= 195
+
+
+@pytest.mark.parametrize(
+    ("make", "bound"),
+    [
+        (lambda: generate(GenSpec(family="star-plus-forests", n=2**11, alpha=2, seed=1)), 650),
+        (lambda: gen_preferential_attachment(3_000, 5, seed=1), 400),
+    ],
+    ids=["hub", "preferential-attachment"],
+)
+def test_recursive_holds_one_graph_per_level(make, bound):
+    # Each node builds a child only when it recurses into it and keeps only
+    # a finished child's color array: about 575 and 245 bytes per edge.
+    # Holding both children's graphs per ancestor, and the finished left
+    # child's coloring during the right recursion, takes 935 and 759.
+    assert _peak_bytes_per_edge(make(), "recursive") <= bound
 
 
 def test_validate_structures_detects_drift():

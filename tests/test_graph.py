@@ -2,6 +2,9 @@
 
 import gc
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from random import Random
 
@@ -27,7 +30,7 @@ from edgecolor.graph import (
     read_edge_list,
     write_edge_list,
 )
-from edgecolor.recursive import euler_partition
+from edgecolor.recursive import LEFT, RIGHT, euler_partition
 from oracles import canonical_edge_list
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
@@ -263,6 +266,39 @@ def test_read_edge_list_bounds_n_by_the_edges(tmp_path, capsys):
     assert not graph_path.with_suffix(".colors").exists()
 
 
+def test_read_edge_list_bounds_n_by_the_edges_it_reads(tmp_path):
+    # The header's m is only a promise: n = 10**9 passes the header check,
+    # but one edge line justifies no per-vertex state past the fixed slack.
+    text = "1000000000 1000000000\n0 1\n"
+    error = "line 1: header promises 1000000000 edges, found 1"
+    graph_path = tmp_path / "short.edges"
+    graph_path.write_text(text)
+    # In a process capped at 1 GiB of address space first, so that code
+    # which does allocate per declared vertex fails here instead of
+    # exhausting the machine's memory.
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+              "from edgecolor.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, "color", str(graph_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, f"error: {error}\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^{error}$"):
+            read_edge_list(text)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # A bad edge among those read ahead is still named by its own line.
+    with pytest.raises(SelfLoopError, match="^line 5: edge 1 "):
+        read_edge_list(f"{2**20 + 4} 3\n# c\n0 1\n\n1 1\n2 3\n")
+
+
 @given(graphs())
 def test_write_read_round_trip(g):
     back = read_edge_list(write_edge_list(g))
@@ -304,7 +340,7 @@ def test_graphs_hold_one_int_object_per_vertex_id(spec):
     # whether the ids were drawn, parsed or renumbered by a split.
     g = generate(spec)
     split = euler_partition(g)
-    for h in (g, read_edge_list(write_edge_list(g)), split.left, split.right):
+    for h in (g, read_edge_list(write_edge_list(g)), split.child(LEFT)[0], split.child(RIGHT)[0]):
         ids = [x for pair in h.endpoints for x in pair]
         assert len({id(x) for x in ids}) == len(set(ids))
 

@@ -18,6 +18,8 @@ from edgecolor.generators import (
 )
 from edgecolor.graph import build_graph
 from edgecolor.recursive import (
+    LEFT,
+    RIGHT,
     EulerSplit,
     ImproperInputError,
     RecursionNode,
@@ -33,7 +35,6 @@ from oracles import side_degrees, verify_proper
 
 
 def _check_split(g, split: EulerSplit) -> None:
-    assert split.left.m + split.right.m == g.m
     left_deg, right_deg = side_degrees(split)
     for v in range(g.n):
         dl = left_deg.get(v, 0)
@@ -41,18 +42,24 @@ def _check_split(g, split: EulerSplit) -> None:
         assert dl + dr == g.degree[v]
         # left minus right: +-1 at an odd vertex, 0 or +2 at an even one
         assert dl - dr in ((-1, 1) if g.degree[v] & 1 else (0, 2))
-    # every parent edge lands on one side, in id order, with its
-    # endpoints intact
-    assert sorted(split.left_edges + split.right_edges) == list(range(g.m))
-    for child, vmap, eids in (
-        (split.left, split.left_vertices, split.left_edges),
-        (split.right, split.right_vertices, split.right_edges),
-    ):
-        assert eids == sorted(eids)
+    # every parent edge lands on one side; each child holds its side's
+    # edges in id order, with their endpoints intact
+    assert len(split.side) == g.m and set(split.side) <= {LEFT, RIGHT}
+    for s in (LEFT, RIGHT):
+        child, vmap = split.child(s)
+        eids = _side_edges(split, s)
         assert len(eids) == child.m
         for ce, e in enumerate(eids):
             a, b = child.endpoints[ce]
             assert {vmap[a], vmap[b]} == set(g.endpoints[e])
+
+
+def _side_edges(split: EulerSplit, s: int) -> list[int]:
+    return [e for e, t in enumerate(split.side) if t == s]
+
+
+def _children(split: EulerSplit):
+    return split.child(LEFT)[0], split.child(RIGHT)[0]
 
 
 def test_split_cycle4_into_matchings():
@@ -60,22 +67,23 @@ def test_split_cycle4_into_matchings():
     split = euler_partition(g)
     _check_split(g, split)
     # even closed tour alternates perfectly: two matchings
-    assert split.left.m == split.right.m == 2
-    assert split.left.max_degree == split.right.max_degree == 1
+    left, right = _children(split)
+    assert left.m == right.m == 2
+    assert left.max_degree == right.max_degree == 1
 
 
 def test_split_triangle_sizes():
     g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
     split = euler_partition(g)
     _check_split(g, split)
-    assert {split.left.m, split.right.m} == {1, 2}
+    assert {child.m for child in _children(split)} == {1, 2}
 
 
 def test_split_empty_graph():
     g = build_graph([], 3)
     split = euler_partition(g)
-    assert split.left.m == split.right.m == 0
-    assert split.left_edges == split.right_edges == []
+    assert [child.m for child in _children(split)] == [0, 0]
+    assert split.side == bytearray()
 
 
 @given(graphs(max_n=8))
@@ -105,12 +113,13 @@ def test_split_balance_on_random_graphs(seed):
 def test_merge_on_path_split():
     g = build_graph([(0, 1), (1, 2)], 3)
     split = euler_partition(g)
-    assert split.left.m == split.right.m == 1
-    chi_left = PartialColoring(split.left)
+    left, right = _children(split)
+    assert left.m == right.m == 1
+    chi_left = PartialColoring(left)
     chi_left.assign(0, 1)
-    chi_right = PartialColoring(split.right)
+    chi_right = PartialColoring(right)
     chi_right.assign(0, 1)
-    colors, k = merge_colorings(g, split, chi_left, chi_right)
+    colors, k = merge_colorings(split, chi_left.color, chi_left.k, chi_right.color, chi_right.k)
     assert k == 4  # disjoint palettes, right offset by k_left
     assert sorted(colors) == [1, 3]
     assert verify_colors(g, colors, k).proper
@@ -119,11 +128,12 @@ def test_merge_on_path_split():
 def test_merge_rejects_partial_input():
     g = build_graph([(0, 1), (1, 2)], 3)
     split = euler_partition(g)
-    chi_left = PartialColoring(split.left)  # left edge left uncolored
-    chi_right = PartialColoring(split.right)
+    left, right = _children(split)
+    chi_left = PartialColoring(left)  # left edge left uncolored
+    chi_right = PartialColoring(right)
     chi_right.assign(0, 1)
     with pytest.raises(ImproperInputError):
-        merge_colorings(g, split, chi_left, chi_right)
+        merge_colorings(split, chi_left.color, chi_left.k, chi_right.color, chi_right.k)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -132,11 +142,11 @@ def test_merged_palette_bounds(seed):
     g = random_graph(30, 70 + 5 * seed, rng)
     split = euler_partition(g)
     sides = []
-    for child in (split.left, split.right):
+    for child in _children(split):
         chi = PartialColoring(child)
         color_edges(child, chi, rng)
-        sides.append(chi)
-    colors, k = merge_colorings(g, split, *sides)
+        sides += chi.color, chi.k
+    colors, k = merge_colorings(split, *sides)
     # each side needs at most ceil(max_degree / 2) + 2 colors, so the
     # merged palette sits in [max_degree + 2, max_degree + 4]
     assert g.max_degree + 2 <= k <= g.max_degree + 4
@@ -369,7 +379,8 @@ def test_euler_split_golden():
     got, want = {}, {}
     for make, args, digest in GOLDEN_SPLITS:
         split = euler_partition(make(*args))
-        ids = (split.left_edges, split.right_edges, split.left_vertices, split.right_vertices)
+        ids = (_side_edges(split, LEFT), _side_edges(split, RIGHT),
+               split.child(LEFT)[1], split.child(RIGHT)[1])
         got[make.__name__, args] = hashlib.sha256(repr(ids).encode()).hexdigest()
         want[make.__name__, args] = digest
     assert got == want
