@@ -270,6 +270,27 @@ def test_recursive_node_invariants():
         assert node.pruned_weight * (node.max_degree + 4) <= 3 * node.weight
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_recursion_on_every_small_graph(n):
+    # Every labeled graph on n vertices, colorer seed = its edge mask.  From
+    # n = 4 on a graph of max degree 3 or more splits (4 or more at n = 6),
+    # so merge, prune and repair all run here.
+    pairs = all_pairs(n)
+    merged = 0
+    for mask in range(1 << len(pairs)):
+        g = build_graph([p for i, p in enumerate(pairs) if mask >> i & 1], n)
+        trace = []
+        chi = recursive_color_edges(g, Random(mask), trace=trace)
+        rep = verify_colors(g, chi.color, g.max_degree + 1)
+        assert rep.proper and rep.uncolored == 0, mask
+        assert all(level["violations"] == [] for level in collect_level_stats(trace)), mask
+        for node in trace:
+            if not node.is_base:
+                merged += 1
+                assert node.pruned_weight * (node.max_degree + 4) <= 3 * node.weight, mask
+    assert merged > 0 if n >= 4 else merged == 0
+
+
 CROSS_CASES = [
     ("star", lambda s: gen_star(1500)),
     ("mixed", lambda s: gen_star_plus_forests(1024, 3, seed=s)),
