@@ -25,7 +25,7 @@ def missing(chi, v):
 def show(g, chi, note):
     parts = []
     for e in range(g.m):
-        u, v = g.endpoints[e]
+        u, v = g.tail[e], g.head[e]
         c = chi.color[e]
         parts.append(f"({u},{v})={'-' if c == 0 else c}")
     print(f"{note}: " + " ".join(parts))
@@ -43,7 +43,7 @@ def main():
 
     edge = 0  # (0, 1) is uncolored; color it now
     center = 0  # the endpoint whose degree is the edge weight
-    print(f"\ntarget edge {g.endpoints[edge]}, center {center}")
+    print(f"\ntarget edge {(g.tail[edge], g.head[edge])}, center {center}")
     print(f"colors missing at the center: {missing(chi, center)}")
 
     c0 = 3  # any color missing at the center works; take 3

@@ -31,7 +31,7 @@ recursive colorer's merged nodes are, never pays for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from random import Random
 from typing import Sequence, TextIO
 
@@ -104,8 +104,8 @@ class PartialColoring:
         if not colors or (min(colors) >= 1 and max(colors) <= k):
             # (vertex, color) as one int: 1 <= color <= k keeps it injective.
             k1 = k + 1
-            keys = {u * k1 + c for (u, _), c in zip(g.endpoints, colors)}
-            keys.update(v * k1 + c for (_, v), c in zip(g.endpoints, colors))
+            keys = {u * k1 + c for u, c in zip(g.tail, colors)}
+            keys.update(v * k1 + c for v, c in zip(g.head, colors))
             if len(keys) == 2 * g.m:
                 chi = object.__new__(_Unindexed)
                 chi.g = g
@@ -149,7 +149,9 @@ class PartialColoring:
             raise AlreadyColoredError(edge, self.color[edge])
         if not (1 <= color <= self.k):
             raise ColoringError(f"color {color} outside palette 1..{self.k}")
-        u, v = self.g.endpoints[edge]
+        g = self.g
+        u = g.tail[edge]
+        v = g.head[edge]
         clash = self.occupied[u].get(color)
         if clash is not None:
             raise ColorConflictError(edge, color, u, clash)
@@ -165,11 +167,10 @@ class PartialColoring:
         c = self.color[edge]
         if c == UNCOLORED:
             raise AlreadyUncoloredError(edge)
-        u, v = self.g.endpoints[edge]
         # Release before clearing the color: an unbuilt index is built
         # from the color array on its first read.
-        self._release(u, c)
-        self._release(v, c)
+        self._release(self.g.tail[edge], c)
+        self._release(self.g.head[edge], c)
         self.color[edge] = UNCOLORED
 
     def swap_colors_along_path(
@@ -294,33 +295,44 @@ class ColoringReport:
 
 
 def verify_colors(g: Graph, colors: Sequence[int], palette: int) -> ColoringReport:
-    """Check properness of a raw color array by a full independent scan."""
+    """Check properness of a raw color array by a full independent scan.
+
+    ``colors`` holds one color, or 0, per edge id.  One pass over the
+    adjacency checks that each vertex's colors are distinct; only if one
+    vertex's are not is every vertex scanned edge by edge, to name each
+    repeated color's edges.
+    """
     violations: list[Violation] = []
-    used: set[int] = set()
-    uncolored = 0
-    for e in range(g.m):
-        c = colors[e]
-        if c == UNCOLORED:
-            uncolored += 1
-            continue
-        used.add(c)
-        if c < 0 or c > palette:
-            violations.append(Violation("color-out-of-range", None, c, (e,)))
-    for v in range(g.n):
-        seen: dict[int, int] = {}
-        for eid in g.adjacency[v]:
-            c = colors[eid]
-            if c == UNCOLORED:
-                continue
-            if c in seen:
-                violations.append(Violation("duplicate-color", v, c, (seen[c], eid)))
-            else:
-                seen[c] = eid
+    used = set(colors)
+    if used and (min(used) < 0 or max(used) > palette):
+        violations += [
+            Violation("color-out-of-range", None, c, (e,))
+            for e, c in enumerate(colors)
+            if c != UNCOLORED and (c < 0 or c > palette)
+        ]
+    used.discard(UNCOLORED)
+    adj_start, adj_edge = g.adj_start, g.adj_edge
+    around = list(map(colors.__getitem__, adj_edge))  # the colors in CSR order
+    a = 0
+    for b in islice(adj_start, 1, None):
+        if len(set(around[a:b])) < b - a:  # a repeat, or two uncolored edges
+            for v in range(g.n):
+                seen: dict[int, int] = {}
+                for eid in adj_edge[adj_start[v]:adj_start[v + 1]]:
+                    c = colors[eid]
+                    if c == UNCOLORED:
+                        continue
+                    if c in seen:
+                        violations.append(Violation("duplicate-color", v, c, (seen[c], eid)))
+                    else:
+                        seen[c] = eid
+            break
+        a = b
     return ColoringReport(
         proper=not violations,
         colors_used=len(used),
         max_color=max(used, default=0),
-        uncolored=uncolored,
+        uncolored=colors.count(UNCOLORED),
         violations=tuple(violations),
     )
 

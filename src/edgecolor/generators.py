@@ -1,6 +1,7 @@
 """Seeded graph families for tests and benchmarks.
 
-All generators are deterministic in their seed and return simple graphs.
+All generators are deterministic in their seed and return simple graphs,
+simple by construction, so they are built by the unchecked constructor.
 The star / forest-union / star-plus-forests / grid families have an
 arboricity bound by construction, against which the tests check the
 weight-versus-density claims on generated inputs.  The forest-based
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from random import Random
 
-from .graph import Graph, build_graph, randbelow
+from .graph import Graph, randbelow, unchecked_graph
 
 
 class InfeasibleSpecError(ValueError):
@@ -88,11 +89,16 @@ def _required(spec: GenSpec, *names: str) -> list[int]:
     return [getattr(spec, name) for name in names]
 
 
+def _graph(edges: list[tuple[int, int]], n: int) -> Graph:
+    ids = list(range(n))  # one int object per vertex id, shared by every endpoint
+    return unchecked_graph([ids[u] for u, _ in edges], [ids[v] for _, v in edges], n)
+
+
 def gen_star(n: int) -> Graph:
     """Star: vertex 0 joined to every other vertex."""
     if n < 1:
         raise InfeasibleSpecError("star needs n >= 1")
-    return build_graph([(0, i) for i in range(1, n)], n)
+    return unchecked_graph([0] * (n - 1), list(range(1, n)), n)
 
 
 def _grow_forest(
@@ -140,7 +146,7 @@ def gen_forest_union(n: int, alpha: int, seed: int) -> Graph:
     edges: list[tuple[int, int]] = []
     for _ in range(alpha):
         _grow_forest(n, rng, taken, edges, n - 1)
-    return build_graph(edges, n)
+    return _graph(edges, n)
 
 
 def gen_star_plus_forests(
@@ -173,7 +179,7 @@ def gen_star_plus_forests(
     taken = set(edges)
     for _ in range(alpha - 1):
         _grow_forest(n, rng, taken, edges, per_forest)
-    return build_graph(edges, n)
+    return _graph(edges, n)
 
 
 def gen_erdos_renyi(n: int, m: int, seed: int) -> Graph:
@@ -203,7 +209,7 @@ def gen_erdos_renyi(n: int, m: int, seed: int) -> Graph:
                 continue
             chosen.add(key)
             edges.append(key)
-    return build_graph(edges, n)
+    return _graph(edges, n)
 
 
 def gen_preferential_attachment(n: int, degree: int, seed: int) -> Graph:
@@ -230,7 +236,7 @@ def gen_preferential_attachment(n: int, degree: int, seed: int) -> Graph:
             edges.append((u, v))
             endpoint_pool.append(u)
             endpoint_pool.append(v)
-    return build_graph(edges, n)
+    return _graph(edges, n)
 
 
 def gen_grid(rows: int, cols: int) -> Graph:
@@ -245,4 +251,4 @@ def gen_grid(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    return build_graph(edges, rows * cols)
+    return _graph(edges, rows * cols)

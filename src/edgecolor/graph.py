@@ -1,9 +1,13 @@
-"""Static undirected graphs with dense integer edge ids.
+"""Static undirected graphs with dense integer edge ids, in flat int lists.
 
 Vertices are ``0..n-1``.  Edges receive ids ``0..m-1`` in input order, and
 every other module in this package keys its per-edge state by those ids.
 Graphs are simple (no self-loops, no parallel edges) and immutable once
-built.
+built.  A graph is flat int lists, with no object per edge or vertex:
+edge ``e`` joins ``tail[e]`` and ``head[e]``, and the adjacency is one CSR
+pair (``adj_start``, ``adj_edge``).  Input goes through the checked
+:func:`build_graph`; edges known to be simple, as a generator's output or
+a subset of a graph's edges are, go through :func:`unchecked_graph`.
 
 The weight of an edge is the smaller of its endpoint degrees; the weight
 of a graph is the sum of its edge weights.  For sparse graphs this sum
@@ -18,9 +22,8 @@ generators and colorers share.
 from __future__ import annotations
 
 import io
-from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from random import Random
 from typing import Iterable, TextIO
 
@@ -63,31 +66,33 @@ class ParseError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable adjacency-list graph.
+    """Immutable graph in flat int lists.
 
     Attributes:
         n: number of vertices.
         m: number of edges.
-        endpoints: per edge id, the ``(u, v)`` pair as given on input.
-            The pairs share one int object per vertex id.
-        adjacency: per vertex, its edge ids in ascending order; the
-            neighbor across each is read from ``endpoints``.
+        tail, head: per edge id, its two endpoints as given on input,
+            sharing one int object per vertex id.
+        adj_start, adj_edge: the CSR adjacency: vertex ``v``'s edge ids,
+            ascending, are ``adj_edge[adj_start[v]:adj_start[v + 1]]``.
         degree: per vertex, its degree.
         max_degree: largest degree (0 for an edgeless graph).
     """
 
     n: int
     m: int
-    endpoints: list[tuple[int, int]]
-    adjacency: list[list[int]]
+    tail: list[int]
+    head: list[int]
+    adj_start: list[int]
+    adj_edge: list[int]
     degree: list[int]
     max_degree: int
 
     def other_endpoint(self, edge: int, vertex: int) -> int:
-        u, v = self.endpoints[edge]
+        u = self.tail[edge]
         if vertex == u:
-            return v
-        if vertex == v:
+            return self.head[edge]
+        if vertex == self.head[edge]:
             return u
         raise ValueError(f"vertex {vertex} is not an endpoint of edge {edge}")
 
@@ -99,20 +104,13 @@ class GraphStats:
     degeneracy: int
 
 
-def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
-    """Validate an edge list and build a :class:`Graph`.
-
-    Raises :class:`VertexOutOfRangeError`, :class:`SelfLoopError` or
-    :class:`DuplicateEdgeError`, each identifying the offending edge.
-    """
+def _checked_ends(edges: Iterable[tuple[int, int]], n: int) -> tuple[list[int], list[int]]:
+    """``tail`` and ``head`` of an edge list, each edge checked as it is read."""
     if n < 0:
         raise GraphError("vertex count must be non-negative")
-    endpoints: list[tuple[int, int]] = []
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    tail: list[int] = []
+    head: list[int] = []
     seen: set[int] = set()
-    # The first int object seen for each vertex id; every later endpoint
-    # reuses it, so the graph holds one object per vertex, not per endpoint.
-    vid: list[int | None] = [None] * n
     for index, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(index, u, v, n)
@@ -122,24 +120,54 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(index, u, v)
         seen.add(key)
-        su = vid[u]
-        if su is None:
-            su = vid[u] = u
-        sv = vid[v]
-        if sv is None:
-            sv = vid[v] = v
-        endpoints.append((su, sv))
-        adjacency[u].append(index)
-        adjacency[v].append(index)
-    degree = [len(adjacency[v]) for v in range(n)]
-    max_degree = max(degree, default=0)
-    return Graph(n, len(endpoints), endpoints, adjacency, degree, max_degree)
+        tail.append(u)
+        head.append(v)
+    return tail, head
+
+
+def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
+    """Validate an edge list and build a :class:`Graph`.
+
+    Raises :class:`VertexOutOfRangeError`, :class:`SelfLoopError` or
+    :class:`DuplicateEdgeError` at the first bad edge, before reading on.
+    """
+    return _shared_graph(*_checked_ends(edges, n), n)
+
+
+def _shared_graph(tail: list[int], head: list[int], n: int) -> Graph:
+    """:func:`unchecked_graph` after mapping each vertex id to one shared int object."""
+    at = list(range(n)).__getitem__
+    return unchecked_graph(list(map(at, tail)), list(map(at, head)), n)
+
+
+def unchecked_graph(tail: list[int], head: list[int], n: int) -> Graph:
+    """The graph on ``0..n-1`` whose edge ``e`` joins ``tail[e]`` and ``head[e]``.
+
+    Nothing is checked, and both lists are kept as given.  A counting
+    sort over the edges in id order fills the adjacency.
+    """
+    degree = [0] * n
+    for u in tail:
+        degree[u] += 1
+    for v in head:
+        degree[v] += 1
+    adj_start = [0, *accumulate(degree)]
+    fill = adj_start[:n]
+    m = len(tail)
+    adj_edge = [0] * (2 * m)
+    for e, u, v in zip(range(m), tail, head):
+        i = fill[u]
+        adj_edge[i] = e
+        fill[u] = i + 1
+        i = fill[v]
+        adj_edge[i] = e
+        fill[v] = i + 1
+    return Graph(n, m, tail, head, adj_start, adj_edge, degree, max(degree, default=0))
 
 
 def edge_weight(g: Graph, edge: int) -> int:
     """Weight of an edge: the smaller endpoint degree."""
-    u, v = g.endpoints[edge]
-    du, dv = g.degree[u], g.degree[v]
+    du, dv = g.degree[g.tail[edge]], g.degree[g.head[edge]]
     return du if du < dv else dv
 
 
@@ -147,7 +175,7 @@ def graph_weight(g: Graph) -> int:
     """Total weight: sum of min endpoint degrees over all edges."""
     degree = g.degree
     total = 0
-    for u, v in g.endpoints:
+    for u, v in zip(g.tail, g.head):
         du, dv = degree[u], degree[v]
         total += du if du < dv else dv
     return total
@@ -164,15 +192,13 @@ def degeneracy(g: Graph) -> int:
     n = g.n
     if n == 0:
         return 0
-    deg = list(g.degree)
+    deg = list(g.degree)  # -1 once removed
     bins: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
     for v in range(n):
         bins[deg[v]].append(v)
-    removed = [False] * n
     best = 0
     cur = 0
-    adjacency = g.adjacency
-    endpoints = g.endpoints
+    adj_start, adj_edge, tail, head = g.adj_start, g.adj_edge, g.tail, g.head
     for _ in range(n):
         # Skip stale bucket entries; a vertex is live only in the bucket
         # matching its current degree.
@@ -181,19 +207,23 @@ def degeneracy(g: Graph) -> int:
                 cur += 1
                 continue
             v = bins[cur].pop()
-            if not removed[v] and deg[v] == cur:
+            if deg[v] == cur:
                 break
-        removed[v] = True
+        deg[v] = -1
+        if not cur:
+            continue  # every neighbor is gone already
         if cur > best:
             best = cur
-        for e in adjacency[v]:
-            a, b = endpoints[e]
-            u = b if a == v else a
-            if not removed[u]:
-                deg[u] -= 1
-                bins[deg[u]].append(u)
-        if cur:
-            cur -= 1
+        for e in adj_edge[adj_start[v]:adj_start[v + 1]]:
+            u = tail[e]
+            if u == v:
+                u = head[e]
+            d = deg[u]
+            if d > 0:  # a live neighbor still counts this edge
+                d -= 1
+                deg[u] = d
+                bins[d].append(u)
+        cur -= 1
     return best
 
 
@@ -260,16 +290,13 @@ def read_edge_list(source: str | TextIO) -> Graph:
 
     The first significant line is ``n m``; exactly ``m`` lines ``u v``
     follow (0-indexed vertices).  Blank lines and ``#`` comments are
-    skipped anywhere.  Edges stream into :func:`build_graph` as they are
-    read, so reading stops at the first bad line.  Every error names its
-    line: a :class:`ParseError`, or an :class:`EdgeError` from
-    :func:`build_graph` with the line prefixed.  A header ``n`` above
-    ``2 * m + 2**20`` fails before anything is allocated per vertex.
-    Per-vertex state past ``2**20`` vertices waits for the edges that
-    justify it: with a larger ``n`` the first ``(n - 2**20) / 2`` pairs
-    are read and held before :func:`build_graph` starts, so a file with
-    fewer fails on its count, and a bad edge among them is named by its
-    own line once they have all been read.
+    skipped anywhere.  Each edge is checked as it is read, so reading
+    stops at the first bad line.  Every error names its line: a
+    :class:`ParseError`, or an :class:`EdgeError` with the line prefixed.
+    A header ``n`` above ``2 * m + 2**20`` fails before any edge is read.
+    Nothing is allocated per vertex until all ``m`` edges have been read
+    and counted, so per-vertex state is bounded by the edges that
+    justify it, not by the header's promise.
     """
     pairs = IntPairs(source)
     header = next(pairs, None)
@@ -279,39 +306,24 @@ def read_edge_list(source: str | TextIO) -> Graph:
     header_line = pairs.line_no
     if n < 0 or m < 0:
         raise ParseError(header_line, "header counts must be non-negative")
-    # Only isolated vertices lie beyond 2m.  build_graph allocates an
-    # adjacency list and a transient slot of its vertex-id table per
-    # declared vertex before it reads an edge, so past the fixed slack the
-    # edges that bound n must be read first: the declared m proves nothing.
+    # Only isolated vertices lie beyond 2m.
     if n > 2 * m + 2**20:
         raise ParseError(header_line, f"header n={n} exceeds 2*m + {2**20}")
-    edges = islice(pairs, m)
-    held_lines = array("q")
-    if n > 2**20:
-        need = (n - 2**20 + 1) // 2
-        held = []
-        for pair in islice(edges, need):
-            held.append(pair)
-            held_lines.append(pairs.line_no)
-        if len(held) < need:
-            raise ParseError(header_line, f"header promises {m} edges, found {len(held)}")
-        edges = chain(held, edges)
     try:
-        g = build_graph(edges, n)
+        tail, head = _checked_ends(islice(pairs, m), n)
     except EdgeError as exc:
-        line = held_lines[exc.index] if exc.index < len(held_lines) else pairs.line_no
-        exc.args = (f"line {line}: {exc}",)
+        exc.args = (f"line {pairs.line_no}: {exc}",)
         raise
-    if g.m != m:
-        raise ParseError(header_line, f"header promises {m} edges, found {g.m}")
+    if len(tail) != m:
+        raise ParseError(header_line, f"header promises {m} edges, found {len(tail)}")
     if next(pairs, None) is not None:
         raise ParseError(pairs.line_no, f"more than {m} edge lines")
-    return g
+    return _shared_graph(tail, head, n)
 
 
 def write_edge_list(g: Graph) -> str:
     """Serialize in the format accepted by :func:`read_edge_list`."""
-    pairs = tuple(chain.from_iterable(g.endpoints))
+    pairs = tuple(chain.from_iterable(zip(g.tail, g.head)))
     return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % pairs
 
 

@@ -27,7 +27,7 @@ from itertools import compress
 from random import Random
 
 from .coloring import UNCOLORED, ColorConflictError, PartialColoring
-from .graph import Graph, build_graph, edge_weight, graph_weight
+from .graph import Graph, edge_weight, graph_weight, unchecked_graph
 from .sequential import color_edges
 
 LEFT = 0
@@ -51,25 +51,30 @@ class EulerSplit:
     side: bytearray
 
     def child(self, s: int) -> tuple[Graph, list[int]]:
-        """Side ``s``'s graph, with dense ids, and each child vertex's parent id.
+        """Side ``s``'s graph, with dense ids, and each child vertex's parent id."""
+        return build_graph(self.g, self.side if s == RIGHT else self.side.translate(_FLIP))
 
-        Child edge ``i`` is the side's ``i``-th parent edge in id order;
-        child vertices are numbered in order of first appearance, so
-        vertices isolated on the side are dropped.
-        """
-        mask = self.side if s == RIGHT else self.side.translate(_FLIP)
-        index = [-1] * self.g.n
-        vertices: list[int] = []
-        pairs: list[tuple[int, int]] = []
-        for u, v in compress(self.g.endpoints, mask):
-            if index[u] < 0:
-                index[u] = len(vertices)
-                vertices.append(u)
-            if index[v] < 0:
-                index[v] = len(vertices)
-                vertices.append(v)
-            pairs.append((index[u], index[v]))
-        return build_graph(pairs, len(vertices)), vertices
+
+def build_graph(g: Graph, mask: bytes) -> tuple[Graph, list[int]]:
+    """The subgraph of the edges ``e`` of ``g`` with ``mask[e]``, and its vertices' ids in ``g``.
+
+    Child edge ``i`` is the ``i``-th masked edge in id order, and child
+    vertices are numbered in order of first appearance.  Nothing is
+    checked: a subset of a simple graph's edges is simple.
+    """
+    tail = list(compress(g.tail, mask))
+    head = list(compress(g.head, mask))
+    index = [-1] * g.n
+    vertices: list[int] = []
+    for u, v in zip(tail, head):
+        if index[u] < 0:
+            index[u] = len(vertices)
+            vertices.append(u)
+        if index[v] < 0:
+            index[v] = len(vertices)
+            vertices.append(v)
+    at = index.__getitem__
+    return unchecked_graph(list(map(at, tail)), list(map(at, head)), len(vertices)), vertices
 
 
 def euler_partition(g: Graph) -> EulerSplit:
@@ -89,23 +94,21 @@ def euler_partition(g: Graph) -> EulerSplit:
     Deterministic for a given graph.
     """
     side = bytearray(b"\x02" * g.m)  # 2 until the walk takes the edge
-    cursor = [0] * g.n
-    adjacency = g.adjacency
-    endpoints = g.endpoints
-    degree = g.degree
+    adj_start, adj_edge, tail, head, degree = g.adj_start, g.adj_edge, g.tail, g.head, g.degree
+    cursor = adj_start[:-1]  # per vertex, an index into adj_edge
 
     def walk(cur: int, s: int) -> None:
         while True:
-            adj = adjacency[cur]
             i = cursor[cur]
-            while i < len(adj) and side[adj[i]] < 2:
+            end = adj_start[cur + 1]
+            while i < end and side[adj_edge[i]] < 2:
                 i += 1
             cursor[cur] = i
-            if i == len(adj):
+            if i == end:
                 return
-            e = adj[i]
-            a, b = endpoints[e]
-            cur = b if a == cur else a
+            e = adj_edge[i]
+            u = tail[e]
+            cur = head[e] if u == cur else u
             side[e] = s
             s ^= 1
 
@@ -124,13 +127,11 @@ def merge_colorings(
     """Combine two total child colorings over disjoint palettes.
 
     ``left`` and ``right`` are the children's color arrays, indexed by
-    child edge id.  Returns the parent's color array, indexed by parent
-    edge id, and its palette size ``k_left + k_right``: right-side colors
-    are offset by the left palette size.  Raises
-    :class:`ImproperInputError` if either input is partial.  No conflict
-    check is needed: each child is proper by construction and the two
-    palettes are disjoint, so the checked assignment happens once, in
-    :func:`prune_min_weight_colors`.
+    child edge id.  Returns the parent's color array and its palette size
+    ``k_left + k_right``, right-side colors offset by ``k_left``.  Raises
+    :class:`ImproperInputError` if either input is partial.  Each child is
+    proper and the palettes are disjoint, so no conflict is checked here:
+    the checked assignment happens once, in :func:`prune_min_weight_colors`.
     """
     if UNCOLORED in left or UNCOLORED in right:
         raise ImproperInputError("merge requires total colorings on both sides")
@@ -161,17 +162,14 @@ def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColor
         raise ImproperInputError(f"prune requires a total coloring on colors 1..{k}")
     degree = g.degree
     cost = [0] * (k + 1)
-    for (u, v), c in zip(g.endpoints, colors):
+    for u, v, c in zip(g.tail, g.head, colors):
         du, dv = degree[u], degree[v]
         cost[c] += du if du < dv else dv
     # nsmallest is stable, so ties go to the lower color.
     doomed = set(heapq.nsmallest(max(surplus, 0), range(1, k + 1), key=cost.__getitem__))
     remap = [UNCOLORED] * (k + 1)
-    nxt = 1
-    for c in range(1, k + 1):
-        if c not in doomed:
-            remap[c] = nxt
-            nxt += 1
+    for new, c in enumerate((c for c in range(1, k + 1) if c not in doomed), 1):
+        remap[c] = new
     try:
         return PartialColoring.from_colors(g, [remap[c] for c in colors])
     except ColorConflictError as exc:
@@ -260,19 +258,11 @@ def _recurse(
         if trace is not None:
             pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
     if trace is not None:
-        trace.append(
-            RecursionNode(
-                level=level,
-                m=g.m,
-                max_degree=g.max_degree,
-                weight=graph_weight(g),
-                vertices=vmap,
-                degrees=g.degree,
-                is_base=merged is None,
-                merged_palette=merged,
-                pruned_weight=pruned_weight,
-            )
-        )
+        trace.append(RecursionNode(
+            level=level, m=g.m, max_degree=g.max_degree, weight=graph_weight(g),
+            vertices=vmap, degrees=g.degree, is_base=merged is None,
+            merged_palette=merged, pruned_weight=pruned_weight,
+        ))
     color_edges(g, chi, rng)
     return chi
 
@@ -316,16 +306,14 @@ def collect_level_stats(trace: list[RecursionNode]) -> list[dict]:
                 f"{root.weight}/{scale} + 2m"
             )
         for idx, node in enumerate(nodes):
-            if (node.max_degree + 2) * scale < root.max_degree or (
-                node.max_degree - 2
-            ) * scale > root.max_degree:
+            if abs(node.max_degree * scale - root.max_degree) > 2 * scale:
                 violations.append(
                     f"level {level} subgraph {idx}: max degree {node.max_degree} "
                     f"outside {root.max_degree}/{scale} +- 2"
                 )
             for v, dh in zip(node.vertices, node.degrees):
                 dg = root_degrees[v]
-                if (dh + 2) * scale < dg or (dh - 2) * scale > dg:
+                if abs(dh * scale - dg) > 2 * scale:
                     violations.append(
                         f"level {level} subgraph {idx}: vertex {v} degree {dh} "
                         f"outside {dg}/{scale} +- 2"

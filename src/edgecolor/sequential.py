@@ -50,7 +50,8 @@ def color_one_edge(g: Graph, chi: PartialColoring, edge: int, rng: Random) -> tu
 
     Raises :class:`~edgecolor.fanpath.InvalidFanError` for a colored edge.
     """
-    a, b = g.endpoints[edge]
+    a = g.tail[edge]
+    b = g.head[edge]
     deg = g.degree
     # Center on the lower-degree endpoint, ties to the lower id, so the
     # fan size is bounded by the edge weight.
@@ -86,7 +87,8 @@ def color_one_edge_deterministic(g: Graph, chi: PartialColoring, edge: int) -> t
     of the center's free stack.  Returns (fan size, path length).  Raises
     :class:`~edgecolor.fanpath.InvalidFanError` for a colored edge.
     """
-    a, b = g.endpoints[edge]
+    a = g.tail[edge]
+    b = g.head[edge]
     center = a if a < b else b
     return _pipeline(g, chi, edge, center, None)
 

@@ -7,6 +7,7 @@ from random import Random
 from hypothesis import strategies as st
 
 from edgecolor.coloring import PartialColoring
+from edgecolor.generators import GenSpec
 from edgecolor.graph import Graph, build_graph
 from oracles import sample_partial_coloring
 
@@ -31,6 +32,20 @@ def colored_graphs(draw, min_n: int = 1, max_n: int = 8) -> tuple[Graph, Partial
     seed = draw(st.integers(0, 2**32 - 1))
     chi = sample_partial_coloring(g, Random(seed))
     return g, chi
+
+
+def family_spec(family: str, seed: int) -> GenSpec:
+    """A small spec of a generator family, a few hundred edges at most."""
+    return {
+        "star": GenSpec(family="star", n=20 + seed),
+        "forest-union": GenSpec(family="forest-union", n=60, alpha=3, seed=seed),
+        "star-plus-forests": GenSpec(family="star-plus-forests", n=64, alpha=3, seed=seed),
+        "erdos-renyi": GenSpec(family="erdos-renyi", n=60, m=300, seed=seed),
+        "preferential-attachment": GenSpec(
+            family="preferential-attachment", n=80, degree=4, seed=seed
+        ),
+        "grid": GenSpec(family="grid", rows=4 + seed, cols=7),
+    }[family]
 
 
 def random_graph(n: int, m: int, rng: Random) -> Graph:

@@ -56,7 +56,7 @@ def enumerate_maximal_paths(g: Graph, chi: PartialColoring) -> list[AlternatingP
             adj: dict[int, list[tuple[int, int]]] = {}
             for e in range(g.m):
                 if colors[e] == c0 or colors[e] == c1:
-                    u, v = g.endpoints[e]
+                    u, v = g.tail[e], g.head[e]
                     adj.setdefault(u, []).append((v, e))
                     adj.setdefault(v, []).append((u, e))
             terminals = sorted(v for v, inc in adj.items() if len(inc) == 1)
@@ -92,7 +92,7 @@ def count_internal_memberships(g: Graph, chi: PartialColoring, edge: int) -> int
     c = chi.color[edge]
     if c == UNCOLORED:
         raise ValueError("internal membership is defined for colored edges only")
-    u, v = g.endpoints[edge]
+    u, v = g.tail[edge], g.head[edge]
     occ = chi.occupied
     count = 0
     for c2 in range(1, chi.k + 1):
@@ -161,7 +161,7 @@ def sample_partial_coloring(g: Graph, rng: Random) -> PartialColoring:
     rng.shuffle(order)
     target = rng.randrange(g.m + 1)
     for e in order[:target]:
-        u, v = g.endpoints[e]
+        u, v = g.tail[e], g.head[e]
         occ_u, occ_v = chi.occupied[u], chi.occupied[v]
         feasible = [c for c in range(1, chi.k + 1) if c not in occ_u and c not in occ_v]
         if feasible:
@@ -207,7 +207,7 @@ def exhaustive_extend_suite(
         for round_no in range(colorings_per_graph):
             base = sample_partial_coloring(g, rng)
             for e in base.uncolored:
-                for center in g.endpoints[e]:
+                for center in (g.tail[e], g.head[e]):
                     chi = PartialColoring.from_colors(g, base.color[:])
                     before = chi.uncolored_count
                     was_colored = [i for i in range(g.m) if chi.color[i] != UNCOLORED]
@@ -239,7 +239,7 @@ def check_fan(g: Graph, chi: PartialColoring, fan) -> list[str]:
     leaves = fan.leaves
     if len(set(leaves)) != len(leaves):
         problems.append("leaves are not distinct")
-    neighbor_edges = {g.other_endpoint(e, v): e for e in g.adjacency[v]}
+    neighbor_edges = {g.other_endpoint(e, v): e for e in incident_edges(g, v)}
     for i, x in enumerate(leaves):
         if x not in neighbor_edges:
             problems.append(f"leaf {x} is not a neighbor of the center")
@@ -287,8 +287,7 @@ def validate_structures(chi: PartialColoring) -> list[str]:
         c = chi.color[e]
         if c == UNCOLORED:
             continue
-        u, v = g.endpoints[e]
-        for x in (u, v):
+        for x in (g.tail[e], g.head[e]):
             if c in expect_occ[x]:
                 problems.append(f"improper: color {c} twice at vertex {x}")
             expect_occ[x][c] = e
@@ -310,7 +309,12 @@ def missing_colors(chi: PartialColoring, vertex: int) -> list[int]:
 
 def canonical_edge_list(g: Graph) -> list[tuple[int, int]]:
     """Sorted list of normalized ``(min, max)`` endpoint pairs."""
-    return sorted((u, v) if u < v else (v, u) for u, v in g.endpoints)
+    return sorted((u, v) if u < v else (v, u) for u, v in zip(g.tail, g.head))
+
+
+def incident_edges(g: Graph, v: int) -> list[int]:
+    """Vertex ``v``'s edge ids, ascending, from the graph's CSR adjacency."""
+    return g.adj_edge[g.adj_start[v]:g.adj_start[v + 1]]
 
 
 def side_degrees(split: EulerSplit) -> tuple[dict[int, int], dict[int, int]]:

@@ -125,7 +125,7 @@ def test_free_stacks_stay_within_twice_their_low_colors():
         if chi.color[e] != UNCOLORED:
             chi.unassign(e)
         else:
-            u, v = g.endpoints[e]
+            u, v = g.tail[e], g.head[e]
             both = [c for c in missing_colors(chi, u) if chi.is_missing(v, c)]
             if both:
                 chi.assign(e, rng.choice(both))
@@ -279,6 +279,14 @@ def test_recursive_holds_one_graph_per_level(make, bound):
     assert _peak_bytes_per_edge(make(), "recursive") <= bound
 
 
+def test_recursive_peaks_under_450_bytes_per_edge_on_the_hub_graph():
+    # Each child is built straight from its parent's flat int lists: about
+    # 369 bytes per edge.  Graphs of per-edge tuples and per-vertex lists,
+    # each child checked as input, took about 575.
+    hub = generate(GenSpec(family="star-plus-forests", n=2**11, alpha=2, seed=1))
+    assert _peak_bytes_per_edge(hub, "recursive") <= 450
+
+
 def test_validate_structures_detects_drift():
     chi = PartialColoring(TRIANGLE)
     chi.assign(0, 1)
@@ -418,7 +426,7 @@ def test_structures_survive_random_operations(g, seed):
     for _ in range(3 * g.m):
         if chi.uncolored and (not rng.random() < 0.4 or chi.uncolored_count == g.m):
             e = rng.choice(chi.uncolored)
-            u, v = g.endpoints[e]
+            u, v = g.tail[e], g.head[e]
             feasible = [
                 c for c in range(1, k + 1) if chi.is_missing(u, c) and chi.is_missing(v, c)
             ]

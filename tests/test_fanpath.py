@@ -24,6 +24,7 @@ from oracles import (
     check_fan,
     count_internal_memberships,
     enumerate_maximal_paths,
+    incident_edges,
     missing_colors,
     validate_structures,
     verify_proper,
@@ -69,7 +70,7 @@ def test_make_primed_fan_requires_uncolored_edge():
 def test_every_fan_passes_independent_checker(pair):
     g, chi = pair
     for e in list(chi.uncolored):
-        for center in g.endpoints[e]:
+        for center in (g.tail[e], g.head[e]):
             fan = make_primed_fan(g, chi, e, center)
             assert check_fan(g, chi, fan) == []
             assert fan.size <= g.degree[center] + 1
@@ -118,7 +119,7 @@ def test_extend_takes_one_missing_color_from_the_center(pair, seed):
     if not chi.uncolored:
         return
     e = chi.uncolored[rng.randrange(len(chi.uncolored))]
-    center = g.endpoints[e][rng.randrange(2)]
+    center = (g.tail[e], g.head[e])[rng.randrange(2)]
     m_before = set(missing_colors(chi, center))
     _run_pipeline(g, chi, e, center, rng)
     m_after = set(missing_colors(chi, center))
@@ -138,7 +139,7 @@ def test_fan_prefix_stays_valid_after_the_flip(pair, seed):
     if not chi.uncolored:
         return
     e = chi.uncolored[rng.randrange(len(chi.uncolored))]
-    center = g.endpoints[e][rng.randrange(2)]
+    center = (g.tail[e], g.head[e])[rng.randrange(2)]
     c0 = chi.random_missing_color(center, rng)
     fan = make_primed_fan(g, chi, e, center)
     c1 = fan.primed_color
@@ -231,7 +232,7 @@ def _assert_is_maximal(g, chi, p):
     for endpoint, inner in ((p.vertices[0], p.c0), (p.vertices[-1], None)):
         incident = [
             eid
-            for eid in g.adjacency[endpoint]
+            for eid in incident_edges(g, endpoint)
             if chi.color[eid] in (p.c0, p.c1)
         ]
         assert len(incident) <= 1
@@ -369,7 +370,7 @@ def test_extend_pipeline_colors_one_more_edge(pair, seed):
     if not chi.uncolored:
         return
     e = chi.uncolored[rng.randrange(len(chi.uncolored))]
-    center = g.endpoints[e][rng.randrange(2)]
+    center = (g.tail[e], g.head[e])[rng.randrange(2)]
     before = chi.uncolored_count
     colored_before = [i for i in range(g.m) if chi.color[i] != UNCOLORED]
     _run_pipeline(g, chi, e, center, rng)

@@ -6,9 +6,9 @@ color`` and ``edgecolor verify`` on arbitrary bytes return 0, 1 or 2 and
 never raise; every exit 2 names the line at fault.
 
 Every vertex count an input can declare stays within 0..64: memory grows
-with the declared count by design (``build_graph`` allocates one
-adjacency list per vertex before the first edge is read), so a drawn
-count in the billions would test the machine, not the parser.  Free text
+with the declared count by design (a graph holds state per vertex, up to
+``2 * m + 2**20`` of them), so a drawn count in the billions would test
+the machine, not the parser.  Free text
 is therefore drawn without ASCII digits, and every integer comes from a
 small range.  Other Unicode ``Nd`` digits are drawn: the parsers refuse
 them as integers.

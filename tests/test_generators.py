@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import edgecolor.generators
-from _util import graphs
+from _util import family_spec, graphs
 from edgecolor.generators import (
     FAMILIES,
     GenSpec,
@@ -24,6 +24,14 @@ from edgecolor.generators import (
 )
 from edgecolor.graph import build_graph, degeneracy, graph_weight, write_edge_list
 from oracles import canonical_edge_list, known_arboricity
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generators_build_what_the_checked_builder_builds(family):
+    # gen_* skip build_graph's checks: their output is simple by construction.
+    for seed in range(6):
+        g = generate(family_spec(family, seed))
+        assert g == build_graph(list(zip(g.tail, g.head)), g.n)
 
 
 def test_star_shapes():
@@ -104,7 +112,7 @@ def test_star_plus_forests_forests_reach_their_target(monkeypatch, alpha):
 
 @given(graphs(min_n=1, max_n=12), st.integers(0, 14), st.integers(0, 2**32 - 1))
 def test_grow_forest_adds_a_forest_of_free_pairs(g, target, seed):
-    before = set(g.endpoints)
+    before = set(zip(g.tail, g.head))
     taken, out = set(before), []
     added = _grow_forest(g.n, Random(seed), taken, out, target)
     assert added == len(out) <= target

@@ -31,7 +31,7 @@ from edgecolor.graph import (
     write_edge_list,
 )
 from edgecolor.recursive import LEFT, RIGHT, euler_partition
-from oracles import canonical_edge_list
+from oracles import canonical_edge_list, incident_edges
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -46,10 +46,10 @@ def test_triangle():
     g = build_graph(TRIANGLE, 3)
     assert g.max_degree == 2
     assert g.degree == [2, 2, 2]
-    assert g.endpoints[1] == (1, 2)
-    # every edge id appears exactly twice across adjacency lists
-    seen = [eid for adj in g.adjacency for eid in adj]
-    assert sorted(seen) == [0, 0, 1, 1, 2, 2]
+    assert (g.tail[1], g.head[1]) == (1, 2)
+    # every edge id appears exactly twice in the adjacency
+    assert sorted(g.adj_edge) == [0, 0, 1, 1, 2, 2]
+    assert g.adj_start == [0, 2, 4, 6]
 
 
 def test_duplicate_edge_rejected():
@@ -86,7 +86,15 @@ def test_other_endpoint():
 def test_degree_sum_is_twice_m(g):
     assert sum(g.degree) == 2 * g.m
     assert g.max_degree == max(g.degree, default=0)
-    assert all(len(g.adjacency[v]) == g.degree[v] for v in range(g.n))
+    assert all(len(incident_edges(g, v)) == g.degree[v] for v in range(g.n))
+
+
+@given(graphs())
+def test_adjacency_lists_each_vertexs_edges_ascending(g):
+    assert len(g.adj_start) == g.n + 1 and g.adj_start[0] == 0
+    for v in range(g.n):
+        assert incident_edges(g, v) == [e for e in range(g.m) if v in (g.tail[e], g.head[e])]
+    assert g.adj_start[g.n] == len(g.adj_edge) == 2 * g.m
 
 
 def test_edge_weight_examples():
@@ -109,14 +117,16 @@ def test_graph_weight_examples():
 def test_graph_weight_forest_union_oracle():
     g = gen_forest_union(10, 2, seed=3)
     # naive per-edge recomputation from adjacency lengths
-    naive = sum(min(len(g.adjacency[u]), len(g.adjacency[v])) for u, v in g.endpoints)
+    naive = sum(
+        min(len(incident_edges(g, u)), len(incident_edges(g, v))) for u, v in zip(g.tail, g.head)
+    )
     assert graph_weight(g) == naive
     assert graph_weight(g) <= 2 * g.m * 2 <= 72
 
 
 @given(graphs())
 def test_graph_weight_matches_naive(g):
-    naive = sum(min(g.degree[u], g.degree[v]) for u, v in g.endpoints)
+    naive = sum(min(g.degree[u], g.degree[v]) for u, v in zip(g.tail, g.head))
     assert graph_weight(g) == naive
 
 
@@ -129,7 +139,7 @@ def _degeneracy_naive(g):
         v = min(alive, key=lambda x: (deg[x], x))
         best = max(best, deg[v])
         alive.remove(v)
-        for e in g.adjacency[v]:
+        for e in incident_edges(g, v):
             u = g.other_endpoint(e, v)
             if u in alive:
                 deg[u] -= 1
@@ -336,12 +346,12 @@ WORKLOADS = {
 
 @pytest.mark.parametrize("spec", WORKLOADS.values(), ids=WORKLOADS.keys())
 def test_graphs_hold_one_int_object_per_vertex_id(spec):
-    # build_graph reuses the first int object it sees for each vertex id,
-    # whether the ids were drawn, parsed or renumbered by a split.
+    # Every graph shares one int object per vertex id, whether the ids
+    # were drawn, parsed or renumbered by a split.
     g = generate(spec)
     split = euler_partition(g)
     for h in (g, read_edge_list(write_edge_list(g)), split.child(LEFT)[0], split.child(RIGHT)[0]):
-        ids = [x for pair in h.endpoints for x in pair]
+        ids = h.tail + h.head
         assert len({id(x) for x in ids}) == len(set(ids))
 
 
@@ -358,3 +368,18 @@ def test_read_edge_list_keeps_the_flat_graph_under_150_bytes_per_edge():
     finally:
         tracemalloc.stop()
     assert (after - before) / g.m <= 150
+
+
+def test_read_edge_list_keeps_the_flat_graph_under_90_bytes_per_edge():
+    # Flat tail/head lists and one CSR adjacency take about 79 bytes per
+    # edge here; a tuple per edge and a list per vertex took about 133.
+    text = write_edge_list(gen_erdos_renyi(3_000, 15_000, seed=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        g = read_edge_list(text)
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (after - before) / g.m <= 90

@@ -6,15 +6,17 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from _util import all_pairs, graphs, random_graph
+from _util import all_pairs, family_spec, graphs, random_graph
 from edgecolor.coloring import PartialColoring, format_coloring, verify_colors
 from edgecolor.generators import (
+    FAMILIES,
     gen_erdos_renyi,
     gen_forest_union,
     gen_grid,
     gen_preferential_attachment,
     gen_star,
     gen_star_plus_forests,
+    generate,
 )
 from edgecolor.graph import build_graph
 from edgecolor.recursive import (
@@ -50,8 +52,8 @@ def _check_split(g, split: EulerSplit) -> None:
         eids = _side_edges(split, s)
         assert len(eids) == child.m
         for ce, e in enumerate(eids):
-            a, b = child.endpoints[ce]
-            assert {vmap[a], vmap[b]} == set(g.endpoints[e])
+            a, b = child.tail[ce], child.head[ce]
+            assert {vmap[a], vmap[b]} == {g.tail[e], g.head[e]}
 
 
 def _side_edges(split: EulerSplit, s: int) -> list[int]:
@@ -101,6 +103,45 @@ def test_split_balance_on_every_small_graph(reverse):
             edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
             g = build_graph(edges[::-1] if reverse else edges, n)
             _check_split(g, euler_partition(g))
+
+
+def _checked_side(g, side, s):
+    """Side ``s`` renumbered by first appearance, through the checked builder."""
+    index: dict[int, int] = {}
+    pairs = []
+    for e in _side_edges(EulerSplit(g, side), s):
+        for x in (g.tail[e], g.head[e]):
+            index.setdefault(x, len(index))
+        pairs.append((index[g.tail[e]], index[g.head[e]]))
+    return build_graph(pairs, len(index)), list(index)
+
+
+def _assert_children_are_checked_builds(g):
+    split = euler_partition(g)
+    for s in (LEFT, RIGHT):
+        # Graph equality covers n, m, tail, head, the CSR, degree and max_degree.
+        assert split.child(s) == _checked_side(g, split.side, s)
+
+
+def test_child_builder_equals_the_checked_build_on_every_small_graph():
+    # A child is built by recursive.build_graph, which skips build_graph's
+    # checks; on every graph of at most 5 labeled vertices each side equals
+    # the checked build of the same renumbered pairs, vertex map included.
+    for n in range(6):
+        pairs = all_pairs(n)
+        for mask in range(1 << len(pairs)):
+            _assert_children_are_checked_builds(
+                build_graph([p for i, p in enumerate(pairs) if mask >> i & 1], n)
+            )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_child_builder_equals_the_checked_build_on_each_family(family):
+    for seed in range(3):
+        g = generate(family_spec(family, seed))
+        assert g.m > 0
+        _assert_children_are_checked_builds(g)
+        _assert_children_are_checked_builds(euler_partition(g).child(LEFT)[0])
 
 
 @pytest.mark.parametrize("seed", range(8))
