@@ -1,7 +1,9 @@
 """Seeded graph families for tests and benchmarks.
 
-All generators are deterministic in their seed and return simple graphs,
-simple by construction, so they are built by the unchecked constructor.
+All generators are deterministic in their seed and return simple graphs.
+Their edges are simple by construction, so they skip the input checks of
+:func:`~edgecolor.graph.build_graph` and go through
+:func:`~edgecolor.graph.unchecked_graph`.
 The star / forest-union / star-plus-forests / grid families have an
 arboricity bound by construction, against which the tests check the
 weight-versus-density claims on generated inputs.  The forest-based

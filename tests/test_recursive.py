@@ -105,11 +105,12 @@ def test_split_balance_on_every_small_graph(reverse):
             _check_split(g, euler_partition(g))
 
 
-def _checked_side(g, side, s):
+def _checked_side(split: EulerSplit, s: int):
     """Side ``s`` renumbered by first appearance, through the checked builder."""
+    g = split.g
     index: dict[int, int] = {}
     pairs = []
-    for e in _side_edges(EulerSplit(g, side), s):
+    for e in _side_edges(split, s):
         for x in (g.tail[e], g.head[e]):
             index.setdefault(x, len(index))
         pairs.append((index[g.tail[e]], index[g.head[e]]))
@@ -120,7 +121,7 @@ def _assert_children_are_checked_builds(g):
     split = euler_partition(g)
     for s in (LEFT, RIGHT):
         # Graph equality covers n, m, tail, head, the CSR, degree and max_degree.
-        assert split.child(s) == _checked_side(g, split.side, s)
+        assert split.child(s) == _checked_side(split, s)
 
 
 def test_child_builder_equals_the_checked_build_on_every_small_graph():
