@@ -107,11 +107,12 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
-    earlier = sorted((int(f.stem.split("_")[1]), f) for f in ROOT.glob("BENCH_*.json")
-                     if f.stem.split("_")[1].isdigit() and int(f.stem.split("_")[1]) < args.pr)
+    numbered = {int(f.stem[6:]): f for f in ROOT.glob("BENCH_*.json") if f.stem[6:].isdigit()}
+    earlier = [pr for pr in numbered if pr < args.pr]
     if earlier:
-        prev = json.loads(earlier[-1][1].read_text())
-        print(f"ratios to {earlier[-1][1].name} (a report, not a gate):")
+        prev_path = numbered[max(earlier)]
+        prev = json.loads(prev_path.read_text())
+        print(f"ratios to {prev_path.name} (a report, not a gate):")
         for workload, entry in bench["workloads"].items():
             old = prev["workloads"].get(workload, {}).get("e2e_median", {})
             for name, new in entry["e2e_median"].items():
