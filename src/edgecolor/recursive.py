@@ -127,11 +127,13 @@ def merge_colorings(
     """Combine two total child colorings over disjoint palettes.
 
     ``left`` and ``right`` are the children's color arrays, indexed by
-    child edge id.  Returns the parent's color array and its palette size
-    ``k_left + k_right``, right-side colors offset by ``k_left``.  Raises
-    :class:`ImproperInputError` if either input is partial.  Each child is
-    proper and the palettes are disjoint, so no conflict is checked here:
-    the checked assignment happens once, in :func:`prune_min_weight_colors`.
+    child edge id.  Returns the parent's color array, indexed by parent
+    edge id, and its palette size ``k_left + k_right``: right-side colors
+    are offset by the left palette size.  Raises
+    :class:`ImproperInputError` if either input is partial.  No conflict
+    check is needed: each child is proper by construction and the two
+    palettes are disjoint, so the checked assignment happens once, in
+    :func:`prune_min_weight_colors`.
     """
     if UNCOLORED in left or UNCOLORED in right:
         raise ImproperInputError("merge requires total colorings on both sides")
@@ -168,8 +170,11 @@ def prune_min_weight_colors(g: Graph, colors: list[int], k: int) -> PartialColor
     # nsmallest is stable, so ties go to the lower color.
     doomed = set(heapq.nsmallest(max(surplus, 0), range(1, k + 1), key=cost.__getitem__))
     remap = [UNCOLORED] * (k + 1)
-    for new, c in enumerate((c for c in range(1, k + 1) if c not in doomed), 1):
-        remap[c] = new
+    nxt = 1
+    for c in range(1, k + 1):
+        if c not in doomed:
+            remap[c] = nxt
+            nxt += 1
     try:
         return PartialColoring.from_colors(g, [remap[c] for c in colors])
     except ColorConflictError as exc:
@@ -258,11 +263,19 @@ def _recurse(
         if trace is not None:
             pruned_weight = sum(edge_weight(g, e) for e in chi.uncolored)
     if trace is not None:
-        trace.append(RecursionNode(
-            level=level, m=g.m, max_degree=g.max_degree, weight=graph_weight(g),
-            vertices=vmap, degrees=g.degree, is_base=merged is None,
-            merged_palette=merged, pruned_weight=pruned_weight,
-        ))
+        trace.append(
+            RecursionNode(
+                level=level,
+                m=g.m,
+                max_degree=g.max_degree,
+                weight=graph_weight(g),
+                vertices=vmap,
+                degrees=g.degree,
+                is_base=merged is None,
+                merged_palette=merged,
+                pruned_weight=pruned_weight,
+            )
+        )
     color_edges(g, chi, rng)
     return chi
 
@@ -306,14 +319,16 @@ def collect_level_stats(trace: list[RecursionNode]) -> list[dict]:
                 f"{root.weight}/{scale} + 2m"
             )
         for idx, node in enumerate(nodes):
-            if abs(node.max_degree * scale - root.max_degree) > 2 * scale:
+            if (node.max_degree + 2) * scale < root.max_degree or (
+                node.max_degree - 2
+            ) * scale > root.max_degree:
                 violations.append(
                     f"level {level} subgraph {idx}: max degree {node.max_degree} "
                     f"outside {root.max_degree}/{scale} +- 2"
                 )
             for v, dh in zip(node.vertices, node.degrees):
                 dg = root_degrees[v]
-                if abs(dh * scale - dg) > 2 * scale:
+                if (dh + 2) * scale < dg or (dh - 2) * scale > dg:
                     violations.append(
                         f"level {level} subgraph {idx}: vertex {v} degree {dh} "
                         f"outside {dg}/{scale} +- 2"
