@@ -3,6 +3,7 @@
 All generators are deterministic in their seed and return simple graphs.
 Their edges are simple by construction, so they skip the input checks of
 :func:`~edgecolor.graph.build_graph` and go through
+:func:`~edgecolor.graph.shared_graph` or
 :func:`~edgecolor.graph.unchecked_graph`.
 The star / forest-union / star-plus-forests / grid families have an
 arboricity bound by construction, against which the tests check the
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from random import Random
 
-from .graph import Graph, randbelow, unchecked_graph
+from .graph import Graph, randbelow, shared_graph, unchecked_graph
 
 
 class InfeasibleSpecError(ValueError):
@@ -91,11 +92,6 @@ def _required(spec: GenSpec, *names: str) -> list[int]:
     return [getattr(spec, name) for name in names]
 
 
-def _graph(edges: list[tuple[int, int]], n: int) -> Graph:
-    ids = list(range(n))  # one int object per vertex id, shared by every endpoint
-    return unchecked_graph([ids[u] for u, _ in edges], [ids[v] for _, v in edges], n)
-
-
 def gen_star(n: int) -> Graph:
     """Star: vertex 0 joined to every other vertex."""
     if n < 1:
@@ -148,7 +144,7 @@ def gen_forest_union(n: int, alpha: int, seed: int) -> Graph:
     edges: list[tuple[int, int]] = []
     for _ in range(alpha):
         _grow_forest(n, rng, taken, edges, n - 1)
-    return _graph(edges, n)
+    return shared_graph([u for u, _ in edges], [v for _, v in edges], n)
 
 
 def gen_star_plus_forests(
@@ -181,7 +177,7 @@ def gen_star_plus_forests(
     taken = set(edges)
     for _ in range(alpha - 1):
         _grow_forest(n, rng, taken, edges, per_forest)
-    return _graph(edges, n)
+    return shared_graph([u for u, _ in edges], [v for _, v in edges], n)
 
 
 def gen_erdos_renyi(n: int, m: int, seed: int) -> Graph:
@@ -211,7 +207,7 @@ def gen_erdos_renyi(n: int, m: int, seed: int) -> Graph:
                 continue
             chosen.add(key)
             edges.append(key)
-    return _graph(edges, n)
+    return shared_graph([u for u, _ in edges], [v for _, v in edges], n)
 
 
 def gen_preferential_attachment(n: int, degree: int, seed: int) -> Graph:
@@ -238,7 +234,7 @@ def gen_preferential_attachment(n: int, degree: int, seed: int) -> Graph:
             edges.append((u, v))
             endpoint_pool.append(u)
             endpoint_pool.append(v)
-    return _graph(edges, n)
+    return shared_graph([u for u, _ in edges], [v for _, v in edges], n)
 
 
 def gen_grid(rows: int, cols: int) -> Graph:
@@ -253,4 +249,4 @@ def gen_grid(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    return _graph(edges, rows * cols)
+    return shared_graph([u for u, _ in edges], [v for _, v in edges], rows * cols)

@@ -7,7 +7,8 @@ built.  A graph is flat int lists, with no object per edge or vertex:
 edge ``e`` joins ``tail[e]`` and ``head[e]``, and the adjacency is one CSR
 pair (``adj_start``, ``adj_edge``).  Input goes through the checked
 :func:`build_graph`; edges known to be simple, as a generator's output or
-a subset of a graph's edges are, go through :func:`unchecked_graph`.
+a subset of a graph's edges are, go through :func:`shared_graph` or
+:func:`unchecked_graph`.
 
 The weight of an edge is the smaller of its endpoint degrees; the weight
 of a graph is the sum of its edge weights.  For sparse graphs this sum
@@ -131,10 +132,10 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     Raises :class:`VertexOutOfRangeError`, :class:`SelfLoopError` or
     :class:`DuplicateEdgeError` at the first bad edge, before reading on.
     """
-    return _shared_graph(*_checked_ends(edges, n), n)
+    return shared_graph(*_checked_ends(edges, n), n)
 
 
-def _shared_graph(tail: list[int], head: list[int], n: int) -> Graph:
+def shared_graph(tail: list[int], head: list[int], n: int) -> Graph:
     """:func:`unchecked_graph` after mapping each vertex id to one shared int object."""
     at = list(range(n)).__getitem__
     return unchecked_graph(list(map(at, tail)), list(map(at, head)), n)
@@ -318,7 +319,7 @@ def read_edge_list(source: str | TextIO) -> Graph:
         raise ParseError(header_line, f"header promises {m} edges, found {len(tail)}")
     if next(pairs, None) is not None:
         raise ParseError(pairs.line_no, f"more than {m} edge lines")
-    return _shared_graph(tail, head, n)
+    return shared_graph(tail, head, n)
 
 
 def write_edge_list(g: Graph) -> str:
