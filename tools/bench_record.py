@@ -3,19 +3,20 @@
 Usage, from the repository root:
 
     python3 tools/bench_record.py --pr 26
-    python3 tools/bench_record.py --pr 26 --baseline ../parent --pairs 5
+    python3 tools/bench_record.py --pr 26 --baseline ../parent
 
 The first form runs ``edgebench/run.py`` on every workload of
-``BENCHMARK.json`` (``hub`` and ``flat``), ``--runs`` times untraced and
-once traced, and writes ``BENCH_<pr>.json``: the commit, the median of
-each end-to-end metric and the traced run's work counts per workload.  It
-then prints each end-to-end median's ratio to the newest earlier
-``BENCH_*.json``; that is a report, not a gate.
+``BENCHMARK.json`` (``hub`` and ``flat``) at seed 1 for the benchmark's
+``run_seconds``, ten times untraced and once traced, and writes
+``BENCH_<pr>.json``: the commit, the median of each end-to-end metric and
+the traced run's work counts per workload.  It then prints each
+end-to-end median's ratio to the newest earlier ``BENCH_*.json``; that is
+a report, not a gate.
 
-With ``--baseline <checkout>`` the untraced runs alternate between the
-baseline checkout and this one, ``--pairs`` times per workload (baseline
-first in even pairs), and each pair is printed as it ends.  The pairs are
-kept in the file too.  Only the standard library is used.
+With ``--baseline <checkout>`` each untraced run of this checkout is
+paired with one of the baseline checkout, the baseline first in even
+pairs, and each pair is printed as it ends.  The pairs and the baseline's
+commit are kept in the file too.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -31,17 +32,20 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 E2E = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+SEED = 1
+SECONDS = float(BENCHMARK["run_seconds"])
+RUNS = 10  # untraced runs per workload, or pairs with --baseline
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(checkout: Path, workload: str, trace: int) -> dict:
     """One ``edgebench/run.py`` run in ``checkout``: its result line and commit."""
-    cmd = [sys.executable, "edgebench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "edgebench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload} trace {trace} failed: {result}")
-    record = checkout / ".bench_out" / f"{workload}-seed{seed}-trace{trace}" / "record.json"
+    record = checkout / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}" / "record.json"
     values = {k: v["value"] for k, v in result["metrics"].items()}
     units = {k: v["unit"] for k, v in result["metrics"].items()}
     return {"values": values, "units": units,
@@ -59,33 +63,31 @@ def medians(runs: list[dict]) -> dict[str, float]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=float(BENCHMARK["run_seconds"]))
-    p.add_argument("--runs", type=int, default=1, help="untraced runs per workload")
-    p.add_argument("--baseline", type=Path, help="checkout to interleave runs with")
-    p.add_argument("--pairs", type=int, default=5, help="baseline pairs per workload")
+    p.add_argument("--baseline", type=Path, help="checkout to pair each run with")
     args = p.parse_args(argv)
 
-    bench = {"pr": args.pr, "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    bench = {"pr": args.pr, "seed": SEED, "seconds": SECONDS, "workloads": {}}
     for workload in WORKLOADS:
         mine: list[dict] = []
         pairs = []
-        if args.baseline is None:
-            mine = [run(ROOT, workload, args.seed, args.seconds, 0)["values"]
-                    for _ in range(args.runs)]
-        else:
-            for i in range(args.pairs):
-                sides = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
-                got = {side: run(ROOT if side == "change" else args.baseline, workload,
-                                 args.seed, args.seconds, 0)["values"] for side in sides}
-                mine.append(got["change"])
-                pairs.append(got)
-                print(f"{workload} pair {i + 1}/{args.pairs}", flush=True)
-                for name in E2E:
-                    old, new = got["baseline"][name], got["change"][name]
-                    print(f"  {name:26s} {old:12.6g} {new:12.6g}  ratio {new / old:.3f}",
-                          flush=True)
-        traced = run(ROOT, workload, args.seed, args.seconds, 1)
+        base_commit = None
+        for i in range(RUNS):
+            if args.baseline is None:
+                mine.append(run(ROOT, workload, 0)["values"])
+                continue
+            sides = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+            got = {side: run(ROOT if side == "change" else args.baseline, workload, 0)
+                   for side in sides}
+            base_commit = got["baseline"]["commit"]
+            got = {side: r["values"] for side, r in got.items()}
+            mine.append(got["change"])
+            pairs.append(got)
+            print(f"{workload} pair {i + 1}/{RUNS}", flush=True)
+            for name in E2E:
+                old, new = got["baseline"][name], got["change"][name]
+                print(f"  {name:26s} {old:12.6g} {new:12.6g}  ratio {new / old:.3f}",
+                      flush=True)
+        traced = run(ROOT, workload, 1)
         bench["commit"] = traced["commit"]
         entry = {
             "e2e_median": medians(mine),
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
                      if traced["units"][k] == "count"},
         }
         if pairs:
-            entry["baseline"] = {"checkout": str(args.baseline), "pairs": pairs}
+            entry["baseline"] = {"commit": base_commit, "pairs": pairs}
             base = medians([pair["baseline"] for pair in pairs])
             print(f"{workload}: median over {len(pairs)} pairs, baseline -> change")
             for name, new in entry["e2e_median"].items():
